@@ -1,6 +1,7 @@
-//! Criterion benches of the virtual-MPI collectives, including the
-//! algorithm ablations (Bruck vs direct semantics are fixed; halving vs
-//! ring reduce-scatter; Rabenseifner vs binomial-tree all-reduce).
+//! Criterion benches of the virtual-MPI collectives in their blocking
+//! form: Bruck all-gather, recursive-halving reduce-scatter and
+//! Rabenseifner all-reduce, each the split-phase machine of
+//! `nmf_vmpi::pending` driven to completion inline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nmf_vmpi::universe;
@@ -44,15 +45,6 @@ fn bench_reduce_scatter(c: &mut Criterion) {
                 })
             })
         });
-        g.bench_with_input(BenchmarkId::new("ring", p), &(), |b, ()| {
-            b.iter(|| {
-                universe::run(p, |comm| {
-                    let data = vec![1.0; words];
-                    let counts = vec![words / comm.size(); comm.size()];
-                    comm.reduce_scatter_ring(&data, &counts).len()
-                })
-            })
-        });
     }
     g.finish();
 }
@@ -73,18 +65,6 @@ fn bench_all_reduce(c: &mut Criterion) {
                     universe::run(8, |comm| {
                         let data = vec![comm.rank() as f64; words];
                         comm.all_reduce(&data).len()
-                    })
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("binomial_tree", format!("k{k}")),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    universe::run(8, |comm| {
-                        let data = vec![comm.rank() as f64; words];
-                        comm.all_reduce_tree(&data).len()
                     })
                 })
             },

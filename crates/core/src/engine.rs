@@ -176,12 +176,20 @@ pub enum RhsSource {
 }
 
 /// A communication layout for the ANLS iteration: everything that
-/// distinguishes Algorithms 1–3 from each other. Methods are invoked by
-/// [`AnlsEngine::step`] in a fixed order — W-side Gram, W-side gather,
-/// (engine MM), W-side scatter, (engine solve), then the H-side mirror,
-/// then the objective reduction — and each implementation performs its
-/// collectives inside the matching hook so the on-wire schedule is
+/// distinguishes Algorithms 1–3 from each other. [`AnlsEngine::step`]
+/// invokes the hooks in a fixed order — post H gather, post `HHᵀ`
+/// reduction, wait H gather, (engine MM), post W scatter, wait `HHᵀ`,
+/// wait W scatter, (engine solve), then the W-side mirror, then the
+/// objective reduction — and each implementation performs its
+/// collectives inside the matching hooks so the on-wire schedule is
 /// exactly the paper's algorithm.
+///
+/// A scheme that overlaps puts a collective in flight at its `post_*`
+/// hook and completes it at the matching `wait_*`, running the next
+/// local product in between; a scheme that does not simply does all of
+/// its work at the `post_*` hook. The defaults are for "nothing to
+/// communicate": a no-op post or wait, [`FactorSource::Local`] and
+/// [`RhsSource::Mm`].
 ///
 /// Compute performed inside a hook (the Gram products) is timed into the
 /// caller's [`TaskTimes`]; communication is accounted separately by the
@@ -200,29 +208,6 @@ pub trait CommScheme {
     /// Sums a scalar across ranks (the `‖A‖²` setup reduction).
     fn reduce_scalar(&self, x: f64) -> f64;
 
-    /// Leaves the *global* Gram `HHᵀ` in `ws.gram_solve`, un-ridged.
-    fn reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes);
-
-    /// Assembles the `Hᵀ` block the local `A·Hᵀ` needs (into
-    /// `ws.ht_gather`) and says where to read it.
-    fn gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource;
-
-    /// Reduces `ws.mm_w` to this rank's right-hand side for the `W`
-    /// solve and says where it landed.
-    fn reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource;
-
-    /// Leaves the *global* Gram `WᵀW` in `ws.gram_w`, un-ridged (it is
-    /// also read by the objective).
-    fn reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes);
-
-    /// Assembles the `W` block the local `Aᵀ·W` needs (into
-    /// `ws.w_gather`) and says where to read it.
-    fn gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource;
-
-    /// Reduces `ws.mm_h` to this rank's right-hand side for the `H`
-    /// solve and says where it landed.
-    fn reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource;
-
     /// Sums the objective terms (and, when present, the wall-clock
     /// budget flag) across ranks, in place.
     fn reduce_objective_terms(&self, terms: &mut [f64]);
@@ -230,86 +215,81 @@ pub trait CommScheme {
     /// Snapshot of this rank's cumulative communication counters.
     fn comm_stats(&self) -> CommStats;
 
-    // ------------------------------------------------------------------
-    // Split-phase variants
-    //
-    // The engine drives the iteration through these post/wait pairs so an
-    // overlapping scheme can put a collective in flight and run the next
-    // local product before completing it. The defaults collapse to the
-    // synchronous hooks — the Gram reduction runs whole at its post site,
-    // gathers and scatters run whole at their wait site — so LocalScheme
-    // and Replicated1D (and any scheme that doesn't override) execute the
-    // exact schedule they always did.
-    // ------------------------------------------------------------------
-
-    /// Puts the H-assembly gather in flight (no-op for synchronous
-    /// schemes; the work happens in [`wait_gather_h`](Self::wait_gather_h)).
+    /// Starts assembling the `Hᵀ` block the local `A·Hᵀ` needs (into
+    /// `ws.ht_gather`).
     fn post_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) {
         let _ = (ws, ht_local);
     }
 
-    /// Completes the H-assembly gather posted by `post_gather_h`.
-    fn wait_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource {
-        self.gather_h(ws, ht_local)
+    /// Completes the H-assembly gather and says where to read the block.
+    fn wait_gather_h(&self, ws: &mut IterWorkspace) -> FactorSource {
+        let _ = ws;
+        FactorSource::Local
     }
 
-    /// Puts the `HHᵀ` reduction in flight (synchronous schemes do the
-    /// whole reduction here).
-    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
-        self.reduce_gram_h(ws, ht_local, tt);
-    }
+    /// Starts the `HHᵀ` reduction; once waited, the *global* Gram is in
+    /// `ws.gram_solve`, un-ridged.
+    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes);
 
     /// Completes the `HHᵀ` reduction into `ws.gram_solve`.
     fn wait_reduce_gram_h(&self, ws: &mut IterWorkspace) {
         let _ = ws;
     }
 
-    /// Puts the W-side reduce-scatter of `ws.mm_w` in flight.
+    /// Starts reducing `ws.mm_w` to this rank's right-hand side for the
+    /// `W` solve.
     fn post_reduce_scatter_w(&self, ws: &mut IterWorkspace) {
         let _ = ws;
     }
 
-    /// Completes the W-side reduce-scatter.
+    /// Completes the W-side reduction and says where the right-hand
+    /// side landed.
     fn wait_reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource {
-        self.reduce_scatter_w(ws)
+        let _ = ws;
+        RhsSource::Mm
     }
 
-    /// Puts the W-assembly gather in flight.
+    /// Starts assembling the `W` block the local `Aᵀ·W` needs (into
+    /// `ws.w_gather`).
     fn post_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) {
         let _ = (ws, w_local);
     }
 
-    /// Completes the W-assembly gather posted by `post_gather_w`.
-    fn wait_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource {
-        self.gather_w(ws, w_local)
+    /// Completes the W-assembly gather and says where to read the block.
+    fn wait_gather_w(&self, ws: &mut IterWorkspace) -> FactorSource {
+        let _ = ws;
+        FactorSource::Local
     }
 
-    /// Puts the `WᵀW` reduction in flight (computes the local Gram first).
-    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
-        self.reduce_gram_w(ws, w_local, tt);
-    }
+    /// Starts the `WᵀW` reduction; once waited, the *global* Gram is in
+    /// `ws.gram_w`, un-ridged (it is also read by the objective).
+    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes);
 
     /// Completes the `WᵀW` reduction into `ws.gram_w`.
     fn wait_reduce_gram_w(&self, ws: &mut IterWorkspace) {
         let _ = ws;
     }
 
-    /// Puts the H-side reduce-scatter of `ws.mm_h` in flight.
+    /// Starts reducing `ws.mm_h` to this rank's right-hand side for the
+    /// `H` solve.
     fn post_reduce_scatter_h(&self, ws: &mut IterWorkspace) {
         let _ = ws;
     }
 
-    /// Completes the H-side reduce-scatter.
+    /// Completes the H-side reduction and says where the right-hand
+    /// side landed.
     fn wait_reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource {
-        self.reduce_scatter_h(ws)
+        let _ = ws;
+        RhsSource::Mm
     }
 
     /// Whether the engine may post the *next* iteration's H-side
     /// collectives (`post_gather_h` / `post_reduce_gram_h`) before this
     /// iteration's objective reduction, letting them ride its wake
-    /// chain. Only meaningful for genuinely split-phase schemes — the
-    /// defaults execute work at the post site, which must not move
-    /// across the iteration boundary — so this defaults to `false`.
+    /// chain. Only meaningful for schemes that put those collectives in
+    /// flight — a scheme that does its work at the post site must not
+    /// move it across the iteration boundary — so this defaults to
+    /// `false`.
     fn prefetch_across_iterations(&self) -> bool {
         false
     }
@@ -339,7 +319,13 @@ impl CommScheme for LocalScheme {
         x
     }
 
-    fn reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
+    fn reduce_objective_terms(&self, _terms: &mut [f64]) {}
+
+    fn comm_stats(&self) -> CommStats {
+        CommStats::new()
+    }
+
+    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
         // HHᵀ goes straight into the solve buffer; nothing reads the
         // un-ridged Gram later.
         let t0 = Instant::now();
@@ -347,32 +333,10 @@ impl CommScheme for LocalScheme {
         tt.gram += t0.elapsed();
     }
 
-    fn gather_h(&self, _ws: &mut IterWorkspace, _ht_local: &Mat) -> FactorSource {
-        FactorSource::Local
-    }
-
-    fn reduce_scatter_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
-        RhsSource::Mm
-    }
-
-    fn reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
+    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
         let t0 = Instant::now();
         gram_into(w_local, &mut ws.gram_w);
         tt.gram += t0.elapsed();
-    }
-
-    fn gather_w(&self, _ws: &mut IterWorkspace, _w_local: &Mat) -> FactorSource {
-        FactorSource::Local
-    }
-
-    fn reduce_scatter_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
-        RhsSource::Mm
-    }
-
-    fn reduce_objective_terms(&self, _terms: &mut [f64]) {}
-
-    fn comm_stats(&self) -> CommStats {
-        CommStats::new()
     }
 }
 
@@ -437,58 +401,57 @@ impl CommScheme for Replicated1D<'_> {
         self.comm.all_reduce_scalar(x)
     }
 
-    fn reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
-        // Line 3: collect the whole of H on each processor, then the
-        // redundant Gram — every rank computes HHᵀ itself, straight into
-        // the solve buffer.
-        self.comm.all_gatherv_into(
-            ht_local.as_slice(),
-            &self.h_counts,
-            ws.ht_gather.as_mut_slice(),
-        );
-        let t0 = Instant::now();
-        gram_into(&ws.ht_gather, &mut ws.gram_solve);
-        tt.gram += t0.elapsed();
-    }
-
-    fn gather_h(&self, _ws: &mut IterWorkspace, _ht_local: &Mat) -> FactorSource {
-        // Already assembled by `reduce_gram_h` (the gather feeds both the
-        // Gram and the MM in Algorithm 2).
-        FactorSource::Gathered
-    }
-
-    fn reduce_scatter_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
-        // Aᵢ is a full row block, so AᵢHᵀ already is this rank's
-        // right-hand side.
-        RhsSource::Mm
-    }
-
-    fn reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
-        // Line 5: collect the whole of W, then the redundant Gram.
-        self.comm.all_gatherv_into(
-            w_local.as_slice(),
-            &self.w_counts,
-            ws.w_gather.as_mut_slice(),
-        );
-        let t0 = Instant::now();
-        gram_into(&ws.w_gather, &mut ws.gram_w);
-        tt.gram += t0.elapsed();
-    }
-
-    fn gather_w(&self, _ws: &mut IterWorkspace, _w_local: &Mat) -> FactorSource {
-        FactorSource::Gathered
-    }
-
-    fn reduce_scatter_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
-        RhsSource::Mm
-    }
-
     fn reduce_objective_terms(&self, terms: &mut [f64]) {
         self.comm.all_reduce_into(terms);
     }
 
     fn comm_stats(&self) -> CommStats {
         self.comm.stats()
+    }
+
+    // The right-hand sides need no reduction (Aᵢ is a full row block, so
+    // AᵢHᵀ already is this rank's right-hand side), so the scatter hooks
+    // keep their defaults.
+
+    fn post_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) {
+        // Line 3: collect the whole of H on each processor; the gather
+        // feeds both the redundant Gram and the MM.
+        self.comm.all_gatherv_into(
+            ht_local.as_slice(),
+            &self.h_counts,
+            ws.ht_gather.as_mut_slice(),
+        );
+    }
+
+    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, _ht_local: &Mat, tt: &mut TaskTimes) {
+        // Every rank computes HHᵀ itself, straight into the solve buffer.
+        let t0 = Instant::now();
+        gram_into(&ws.ht_gather, &mut ws.gram_solve);
+        tt.gram += t0.elapsed();
+    }
+
+    fn wait_gather_h(&self, _ws: &mut IterWorkspace) -> FactorSource {
+        FactorSource::Gathered
+    }
+
+    fn post_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) {
+        // Line 5: collect the whole of W.
+        self.comm.all_gatherv_into(
+            w_local.as_slice(),
+            &self.w_counts,
+            ws.w_gather.as_mut_slice(),
+        );
+    }
+
+    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, _w_local: &Mat, tt: &mut TaskTimes) {
+        // The redundant Gram of the gathered W.
+        let t0 = Instant::now();
+        gram_into(&ws.w_gather, &mut ws.gram_w);
+        tt.gram += t0.elapsed();
+    }
+
+    fn wait_gather_w(&self, _ws: &mut IterWorkspace) -> FactorSource {
+        FactorSource::Gathered
     }
 }
 
@@ -516,8 +479,9 @@ pub struct Grid2D<'c> {
     h_counts: Vec<usize>,
     k: usize,
     /// Whether to run the split-phase (post/wait) schedule. When false,
-    /// every hook falls back to its synchronous sibling — same words,
-    /// same tags, no overlap.
+    /// each `post_*` hook runs the blocking form of its collective and
+    /// the `wait_*` hooks find nothing in flight — same words, same tags,
+    /// no overlap.
     overlap: bool,
     /// The collectives currently in flight. Interior mutability because
     /// the `CommScheme` hooks take `&self`; at most one op per slot is
@@ -526,9 +490,8 @@ pub struct Grid2D<'c> {
 }
 
 /// In-flight split-phase collectives of one [`Grid2D`] step. Slot names
-/// follow the hook that posts into them; `wait_*` drains the slot (or
-/// falls back to the synchronous path when the slot is empty, i.e.
-/// overlap is disabled).
+/// follow the hook that posts into them; `wait_*` drains the slot (which
+/// is empty when overlap is disabled).
 #[derive(Default)]
 struct PendingGrid {
     gram_h: Option<PendingOp>,
@@ -538,6 +501,9 @@ struct PendingGrid {
     gather_w: Option<PendingOp>,
     rs_h: Option<PendingOp>,
 }
+
+/// Selects one slot of [`PendingGrid`].
+type Slot = fn(&mut PendingGrid) -> &mut Option<PendingOp>;
 
 impl<'c> Grid2D<'c> {
     /// Scheme for one rank of Algorithm 3 on a `grid.pr × grid.pc`
@@ -599,20 +565,21 @@ impl<'c> Grid2D<'c> {
         self.overlap
     }
 
-    /// Completes `op` into `out`, opportunistically advancing the
-    /// in-flight op in the `sibling` slot whenever this wait would park.
-    /// When ranks are oversubscribed onto few cores this batches all
-    /// arrived rounds of both collectives into one thread activation
-    /// instead of waking once per round of one op.
-    fn wait_driving(
-        &self,
-        op: PendingOp,
-        out: &mut [f64],
-        sibling: fn(&mut PendingGrid) -> &mut Option<PendingOp>,
-    ) {
+    /// Completes the op posted into `slot`, if any, into `out`,
+    /// opportunistically advancing the in-flight op in the `sibling` slot
+    /// whenever this wait would park. When ranks are oversubscribed onto
+    /// few cores this batches all arrived rounds of both collectives into
+    /// one thread activation instead of waking once per round of one op.
+    fn wait_slot(&self, slot: Slot, out: &mut [f64], sibling: Option<Slot>) {
+        let taken = slot(&mut self.pending.borrow_mut()).take();
+        let Some(op) = taken else {
+            return;
+        };
         op.wait_with(out, || {
-            if let Some(other) = sibling(&mut self.pending.borrow_mut()).as_mut() {
-                other.try_progress();
+            if let Some(sibling) = sibling {
+                if let Some(other) = sibling(&mut self.pending.borrow_mut()).as_mut() {
+                    other.try_progress();
+                }
             }
         });
     }
@@ -655,73 +622,12 @@ impl CommScheme for Grid2D<'_> {
         self.world.all_reduce_scalar(x)
     }
 
-    fn reduce_gram_h(&self, ws: &mut IterWorkspace, _ht_local: &Mat, _tt: &mut TaskTimes) {
-        // Line 4: HHᵀ = Σᵢⱼ Uᵢⱼ, all-reduce across all ranks — straight
-        // into the solve buffer. The local Gram was computed by `prime`
-        // (first iteration) or by the previous objective evaluation.
-        ws.gram_solve.copy_from(&ws.gram_local);
-        self.world.all_reduce_into(ws.gram_solve.as_mut_slice());
-    }
-
-    fn gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource {
-        // Line 5: assemble Hⱼ (as Hⱼᵀ, n/pc × k) via all-gather across
-        // the processor column.
-        self.col_comm.all_gatherv_into(
-            ht_local.as_slice(),
-            &self.h_counts,
-            ws.ht_gather.as_mut_slice(),
-        );
-        FactorSource::Gathered
-    }
-
-    fn reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource {
-        // Line 7: (AHᵀ)ᵢ via reduce-scatter across the processor row;
-        // this rank keeps ((AHᵀ)ᵢ)ⱼ (m/p × k).
-        self.row_comm.reduce_scatter_into(
-            ws.mm_w.as_slice(),
-            &self.w_counts,
-            ws.aht.as_mut_slice(),
-        );
-        RhsSource::Scattered
-    }
-
-    fn reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
-        // Line 9: Xᵢⱼ = (Wᵢ)ⱼᵀ(Wᵢ)ⱼ; line 10: WᵀW all-reduce.
-        let t0 = Instant::now();
-        gram_into(w_local, &mut ws.gram_local);
-        tt.gram += t0.elapsed();
-        ws.gram_w.copy_from(&ws.gram_local);
-        self.world.all_reduce_into(ws.gram_w.as_mut_slice());
-    }
-
-    fn gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource {
-        // Line 11: assemble Wᵢ (m/pr × k) via all-gather across the
-        // processor row.
-        self.row_comm.all_gatherv_into(
-            w_local.as_slice(),
-            &self.w_counts,
-            ws.w_gather.as_mut_slice(),
-        );
-        FactorSource::Gathered
-    }
-
-    fn reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource {
-        // Line 13: (WᵀA)ⱼ via reduce-scatter across the processor
-        // column; this rank keeps ((WᵀA)ⱼ)ᵢ (n/p × k, transposed).
-        self.col_comm.reduce_scatter_into(
-            ws.mm_h.as_slice(),
-            &self.h_counts,
-            ws.wta.as_mut_slice(),
-        );
-        RhsSource::Scattered
-    }
-
     fn reduce_objective_terms(&self, terms: &mut [f64]) {
         if self.overlap {
-            // Same algorithm, words, and tags as the synchronous
-            // all-reduce, but driven through the split-phase machinery so
-            // every park of this latency-bound reduction also advances
-            // the prefetched next-iteration collectives (see the engine's
+            // Same machine, words, and tags as the blocking all-reduce,
+            // but driven through a posted op so every park of this
+            // latency-bound reduction also advances the prefetched
+            // next-iteration collectives (see the engine's
             // cross-iteration prefetch).
             let op = self.world.post_all_reduce(terms);
             op.wait_with(terms, || {
@@ -746,130 +652,134 @@ impl CommScheme for Grid2D<'_> {
         self.overlap
     }
 
-    // --- Split-phase overrides: the overlapped Algorithm 3 schedule ---
+    // --- The Algorithm 3 schedule ---
     //
-    // Per-communicator collective order is identical to the synchronous
-    // path (world: Gram-H, Gram-W, objective; column: gather-H,
-    // scatter-H; row: scatter-W, gather-W), so tags, words, and messages
-    // on the wire are exactly the same — only the *schedule* changes:
-    // each collective is posted as soon as its operand exists and waited
-    // only when its result is consumed, letting the local MM products run
-    // inside the communication windows.
+    // With overlap on, each collective is posted as soon as its operand
+    // exists and waited only when its result is consumed, letting the
+    // local MM products run inside the communication windows. With
+    // overlap off, each post hook runs the blocking form instead. Either
+    // way the per-communicator collective order is the same (world:
+    // Gram-H, Gram-W, objective; column: gather-H, scatter-H; row:
+    // scatter-W, gather-W), so tags, words, and messages on the wire are
+    // exactly the same.
 
-    fn post_gather_h(&self, _ws: &mut IterWorkspace, ht_local: &Mat) {
+    fn post_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) {
+        // Line 5: assemble Hⱼ (as Hⱼᵀ, n/pc × k) via all-gather across
+        // the processor column.
+        let (send, counts) = (ht_local.as_slice(), &self.h_counts);
         if self.overlap {
-            self.pending.borrow_mut().gather_h = Some(
-                self.col_comm
-                    .post_all_gatherv(ht_local.as_slice(), &self.h_counts),
-            );
+            self.pending.borrow_mut().gather_h = Some(self.col_comm.post_all_gatherv(send, counts));
+        } else {
+            self.col_comm
+                .all_gatherv_into(send, counts, ws.ht_gather.as_mut_slice());
         }
     }
 
-    fn wait_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource {
-        let taken = self.pending.borrow_mut().gather_h.take();
-        match taken {
-            Some(op) => {
-                self.wait_driving(op, ws.ht_gather.as_mut_slice(), |p| &mut p.gram_h);
-                FactorSource::Gathered
-            }
-            None => self.gather_h(ws, ht_local),
-        }
+    fn wait_gather_h(&self, ws: &mut IterWorkspace) -> FactorSource {
+        self.wait_slot(
+            |p| &mut p.gather_h,
+            ws.ht_gather.as_mut_slice(),
+            Some(|p| &mut p.gram_h),
+        );
+        FactorSource::Gathered
     }
 
-    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
+    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, _ht_local: &Mat, _tt: &mut TaskTimes) {
+        // Line 4: HHᵀ = Σᵢⱼ Uᵢⱼ, all-reduce across all ranks into the
+        // solve buffer. The local Gram was computed by `prime` (first
+        // iteration) or by the previous objective evaluation.
         if self.overlap {
-            // The local Gram is already in `gram_local` (prime / previous
-            // objective); the all-reduce completes into `gram_solve` at
-            // wait time, matching the synchronous copy-then-reduce.
             self.pending.borrow_mut().gram_h =
                 Some(self.world.post_all_reduce(ws.gram_local.as_slice()));
         } else {
-            self.reduce_gram_h(ws, ht_local, tt);
+            ws.gram_solve.copy_from(&ws.gram_local);
+            self.world.all_reduce_into(ws.gram_solve.as_mut_slice());
         }
     }
 
     fn wait_reduce_gram_h(&self, ws: &mut IterWorkspace) {
-        let taken = self.pending.borrow_mut().gram_h.take();
-        if let Some(op) = taken {
-            self.wait_driving(op, ws.gram_solve.as_mut_slice(), |p| &mut p.rs_w);
-        }
+        self.wait_slot(
+            |p| &mut p.gram_h,
+            ws.gram_solve.as_mut_slice(),
+            Some(|p| &mut p.rs_w),
+        );
     }
 
     fn post_reduce_scatter_w(&self, ws: &mut IterWorkspace) {
+        // Line 7: (AHᵀ)ᵢ via reduce-scatter across the processor row;
+        // this rank keeps ((AHᵀ)ᵢ)ⱼ (m/p × k).
+        let (data, counts) = (ws.mm_w.as_slice(), &self.w_counts);
         if self.overlap {
-            self.pending.borrow_mut().rs_w = Some(
-                self.row_comm
-                    .post_reduce_scatter(ws.mm_w.as_slice(), &self.w_counts),
-            );
+            self.pending.borrow_mut().rs_w = Some(self.row_comm.post_reduce_scatter(data, counts));
+        } else {
+            self.row_comm
+                .reduce_scatter_into(data, counts, ws.aht.as_mut_slice());
         }
     }
 
     fn wait_reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource {
-        match self.pending.borrow_mut().rs_w.take() {
-            Some(op) => {
-                op.wait(ws.aht.as_mut_slice());
-                RhsSource::Scattered
-            }
-            None => self.reduce_scatter_w(ws),
-        }
+        self.wait_slot(|p| &mut p.rs_w, ws.aht.as_mut_slice(), None);
+        RhsSource::Scattered
     }
 
-    fn post_gather_w(&self, _ws: &mut IterWorkspace, w_local: &Mat) {
+    fn post_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) {
+        // Line 11: assemble Wᵢ (m/pr × k) via all-gather across the
+        // processor row.
+        let (send, counts) = (w_local.as_slice(), &self.w_counts);
         if self.overlap {
-            self.pending.borrow_mut().gather_w = Some(
-                self.row_comm
-                    .post_all_gatherv(w_local.as_slice(), &self.w_counts),
-            );
+            self.pending.borrow_mut().gather_w = Some(self.row_comm.post_all_gatherv(send, counts));
+        } else {
+            self.row_comm
+                .all_gatherv_into(send, counts, ws.w_gather.as_mut_slice());
         }
     }
 
-    fn wait_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource {
-        let taken = self.pending.borrow_mut().gather_w.take();
-        match taken {
-            Some(op) => {
-                self.wait_driving(op, ws.w_gather.as_mut_slice(), |p| &mut p.gram_w);
-                FactorSource::Gathered
-            }
-            None => self.gather_w(ws, w_local),
-        }
+    fn wait_gather_w(&self, ws: &mut IterWorkspace) -> FactorSource {
+        self.wait_slot(
+            |p| &mut p.gather_w,
+            ws.w_gather.as_mut_slice(),
+            Some(|p| &mut p.gram_w),
+        );
+        FactorSource::Gathered
     }
 
     fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
+        // Line 9: Xᵢⱼ = (Wᵢ)ⱼᵀ(Wᵢ)ⱼ; line 10: WᵀW all-reduce.
+        let t0 = Instant::now();
+        gram_into(w_local, &mut ws.gram_local);
+        tt.gram += t0.elapsed();
         if self.overlap {
-            let t0 = Instant::now();
-            gram_into(w_local, &mut ws.gram_local);
-            tt.gram += t0.elapsed();
             self.pending.borrow_mut().gram_w =
                 Some(self.world.post_all_reduce(ws.gram_local.as_slice()));
         } else {
-            self.reduce_gram_w(ws, w_local, tt);
+            ws.gram_w.copy_from(&ws.gram_local);
+            self.world.all_reduce_into(ws.gram_w.as_mut_slice());
         }
     }
 
     fn wait_reduce_gram_w(&self, ws: &mut IterWorkspace) {
-        let taken = self.pending.borrow_mut().gram_w.take();
-        if let Some(op) = taken {
-            self.wait_driving(op, ws.gram_w.as_mut_slice(), |p| &mut p.rs_h);
-        }
+        self.wait_slot(
+            |p| &mut p.gram_w,
+            ws.gram_w.as_mut_slice(),
+            Some(|p| &mut p.rs_h),
+        );
     }
 
     fn post_reduce_scatter_h(&self, ws: &mut IterWorkspace) {
+        // Line 13: (WᵀA)ⱼ via reduce-scatter across the processor
+        // column; this rank keeps ((WᵀA)ⱼ)ᵢ (n/p × k, transposed).
+        let (data, counts) = (ws.mm_h.as_slice(), &self.h_counts);
         if self.overlap {
-            self.pending.borrow_mut().rs_h = Some(
-                self.col_comm
-                    .post_reduce_scatter(ws.mm_h.as_slice(), &self.h_counts),
-            );
+            self.pending.borrow_mut().rs_h = Some(self.col_comm.post_reduce_scatter(data, counts));
+        } else {
+            self.col_comm
+                .reduce_scatter_into(data, counts, ws.wta.as_mut_slice());
         }
     }
 
     fn wait_reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource {
-        match self.pending.borrow_mut().rs_h.take() {
-            Some(op) => {
-                op.wait(ws.wta.as_mut_slice());
-                RhsSource::Scattered
-            }
-            None => self.reduce_scatter_h(ws),
-        }
+        self.wait_slot(|p| &mut p.rs_h, ws.wta.as_mut_slice(), None);
+        RhsSource::Scattered
     }
 }
 
@@ -1029,8 +939,8 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
          * Split-phase schedule: the H gather and the HHᵀ reduction go in
          * flight first, then the local A·Hᵀ product runs while the Gram
          * all-reduce is still on the wire; the W reduce-scatter is posted
-         * the moment its operand exists. Synchronous schemes fall through
-         * the default hooks and execute the classic ordered schedule. */
+         * the moment its operand exists. Schemes that do not overlap do
+         * all their work at the post hooks: the classic ordered schedule. */
         if self.prefetched {
             // The previous step already put this iteration's H gather
             // and Gram reduction on the wire (see the prefetch below).
@@ -1039,7 +949,7 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
             self.scheme.post_gather_h(ws, &self.ht_local);
             self.scheme.post_reduce_gram_h(ws, &self.ht_local, &mut tt);
         }
-        let h_src = self.scheme.wait_gather_h(ws, &self.ht_local);
+        let h_src = self.scheme.wait_gather_h(ws);
         let t0 = Instant::now();
         {
             let hmat = match h_src {
@@ -1066,7 +976,7 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
         /* ---- Compute H given W ---- (mirror of the W side) */
         self.scheme.post_gather_w(ws, &self.w_local);
         self.scheme.post_reduce_gram_w(ws, &self.w_local, &mut tt);
-        let w_src = self.scheme.wait_gather_w(ws, &self.w_local);
+        let w_src = self.scheme.wait_gather_w(ws);
         let t0 = Instant::now();
         {
             let wmat = match w_src {
@@ -1126,10 +1036,11 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
          * the wire now and ride the objective reduction's wake chain:
          * every rank the all-reduce wakes also drains the prefetched
          * rounds, instead of starting them cold next step. Gated to
-         * split-phase schemes (`prefetch_across_iterations`) because the
-         * default hooks execute work at the post site, and to iterations
-         * that are certain to happen so the total op count — which the
-         * exact communication-cost accounting pins — is unchanged. */
+         * schemes that put these collectives in flight
+         * (`prefetch_across_iterations`), because the others execute
+         * their work at the post site, and to iterations that are certain
+         * to happen so the total op count — which the exact
+         * communication-cost accounting pins — is unchanged. */
         if self.scheme.prefetch_across_iterations()
             && self.policy == ConvergencePolicy::MaxIters
             && self.iterations_done + 1 < self.config.max_iters

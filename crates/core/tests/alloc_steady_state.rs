@@ -12,6 +12,12 @@
 //! buffer pool can legitimately grow on an iteration whose pivoting
 //! discovers more distinct passive sets than any before it, which would
 //! make an exact-equality assertion data-dependent.
+//!
+//! The counter is process-wide, so this file runs without the libtest
+//! harness (`harness = false` in `Cargo.toml`): libtest's own threads
+//! allocate while a test runs, which made the exact counts flaky. `main`
+//! runs the checks one after another on the main thread; the only other
+//! threads are the rank threads the distributed check itself spawns.
 
 use hpc_nmf::prelude::*;
 use hpc_nmf::seq::nmf_seq;
@@ -43,14 +49,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The two tests share one global counter; serialize them (ignoring
-/// poisoning so one failure doesn't cascade into the other).
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn count<T>(f: impl FnOnce() -> T) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = f();
@@ -67,9 +65,7 @@ fn run_seq(iters: usize, solver: SolverKind) -> u64 {
     count(|| nmf_seq(&input, &config))
 }
 
-#[test]
 fn sequential_steady_state_iterations_allocate_nothing() {
-    let _guard = serial_guard();
     for solver in [SolverKind::Hals, SolverKind::Mu] {
         let base = run_seq(2, solver);
         let more = run_seq(6, solver);
@@ -90,9 +86,7 @@ fn run_hpc(iters: usize) -> u64 {
     count(|| factorize(&input, 4, Algo::Hpc2D, &config))
 }
 
-#[test]
 fn hpc_per_iteration_allocations_are_exactly_the_transport() {
-    let _guard = serial_guard();
     // Warm once (thread-spawn and lazy-init costs of the first run).
     let _ = run_hpc(2);
     let a2 = run_hpc(2);
@@ -118,4 +112,11 @@ fn hpc_per_iteration_allocations_are_exactly_the_transport() {
         "per-iteration allocation count {} is too high to be transport-only",
         d1 / 2
     );
+}
+
+fn main() {
+    sequential_steady_state_iterations_allocate_nothing();
+    println!("sequential_steady_state_iterations_allocate_nothing ... ok");
+    hpc_per_iteration_allocations_are_exactly_the_transport();
+    println!("hpc_per_iteration_allocations_are_exactly_the_transport ... ok");
 }

@@ -111,10 +111,21 @@ impl Scheduler {
                     Err("queued job has neither a spec nor a resume plan".to_string())
                 };
                 match built {
-                    Ok(model) => {
+                    Ok(mut model) => {
                         job.bytes = model.factor_bytes();
+                        if model.is_finished() {
+                            // Resumed from a checkpoint written at its
+                            // final iteration: nothing is left to step,
+                            // and a `Running` job would hold its slot for
+                            // ever. A zero-step slice records the stop.
+                            job.stop = model.step_up_to(0).stop;
+                            job.phase = JobPhase::Finished;
+                            tenant.jobs_finished += 1;
+                            report.jobs_finished += 1;
+                        } else {
+                            job.phase = JobPhase::Running;
+                        }
                         job.model = Some(model);
-                        job.phase = JobPhase::Running;
                         report.jobs_promoted += 1;
                     }
                     Err(reason) => {

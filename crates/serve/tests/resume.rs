@@ -5,6 +5,7 @@
 
 use hpc_nmf::harness::Algo;
 use nmf_serve::prelude::*;
+use nmf_serve::{Registry, ResumeSpec, Scheduler};
 use std::path::PathBuf;
 
 fn tmp(tag: &str) -> PathBuf {
@@ -89,6 +90,61 @@ fn checkpointed_job_resumes_on_a_new_scheme_under_a_new_server() {
     client.shutdown().expect("shutdown");
     let stats = core.join().expect("core");
     assert_eq!(stats.jobs_finished, 1);
+    std::fs::remove_file(&ckpt).ok();
+}
+
+/// A checkpoint written at a job's final iteration resumes as a job with
+/// nothing left to run: promotion must mark it `Finished` and free its
+/// concurrency slot for the job queued behind it.
+#[test]
+fn resume_at_the_final_iteration_finishes_and_frees_its_slot() {
+    let ckpt = tmp("final.ckpt");
+    let ckpt_path = ckpt.to_str().expect("utf-8").to_string();
+    let one_slot = TenantQuota {
+        max_concurrent_jobs: 1,
+        ..TenantQuota::default()
+    };
+    let mut sched = Scheduler::new(SchedulerConfig::default());
+
+    // First life: run to the 4-iteration budget, then checkpoint.
+    let mut reg = Registry::new(one_slot, 1);
+    let (job, _) = reg.submit("acme", small_spec(7, 4)).expect("admit");
+    sched.run_quantum(&mut reg);
+    let st = reg.status("acme", job).expect("status");
+    assert_eq!(st.phase, JobPhase::Finished, "{st:?}");
+    reg.checkpoint("acme", job, &ckpt_path).expect("save");
+
+    // Second life: resume under the recorded budget, with a fresh job
+    // queued behind it for the tenant's only slot.
+    let mut reg = Registry::new(one_slot, 1);
+    let resume = ResumeSpec {
+        ckpt: ckpt_path,
+        source: dense_source(),
+        ranks: None,
+        algo: None,
+        max_iters: None,
+    };
+    let (resumed, queued) = reg.submit_resume("acme", resume).expect("admit");
+    assert!(!queued);
+    let (behind, queued) = reg.submit("acme", small_spec(8, 3)).expect("admit");
+    assert!(queued, "the resumed job claims the only slot");
+
+    let report = sched.run_quantum(&mut reg);
+    let st = reg.status("acme", resumed).expect("status");
+    assert_eq!(st.phase, JobPhase::Finished, "{st:?}");
+    assert_eq!(st.iterations, 4);
+    assert_eq!(st.stop.as_deref(), Some("max_iters"));
+    assert_eq!(
+        report.jobs_promoted, 2,
+        "the slot is free again: {report:?}"
+    );
+    for _ in 0..8 {
+        sched.run_quantum(&mut reg);
+    }
+    let st = reg.status("acme", behind).expect("status");
+    assert_eq!(st.phase, JobPhase::Finished, "{st:?}");
+    assert_eq!(st.iterations, 3);
+    assert!(!reg.has_runnable_work());
     std::fs::remove_file(&ckpt).ok();
 }
 

@@ -1,7 +1,7 @@
-//! Collective communication algorithms.
+//! Collective communication: the blocking API.
 //!
-//! Implemented *from point-to-point messages* with the classic algorithms
-//! whose costs the paper quotes in §2.3 (following Chan et al. and
+//! Built *from point-to-point messages* with the classic algorithms whose
+//! costs the paper quotes in §2.3 (following Chan et al. and
 //! Thakur/Rabenseifner/Gropp):
 //!
 //! * **all-gather** — Bruck's algorithm: `⌈log₂ p⌉` rounds,
@@ -11,13 +11,19 @@
 //!   non-power-of-two `p`: `⌈log₂ p⌉ (+2)` rounds, `((p−1)/p)·n` words
 //!   plus the same number of additions.
 //! * **all-reduce** — Rabenseifner's algorithm: a reduce-scatter followed
-//!   by an all-gather, `2·⌈log₂ p⌉` rounds and `2·((p−1)/p)·n` words. A
-//!   binomial-tree variant ([`Comm::all_reduce_tree`]) is provided for the
-//!   latency/bandwidth ablation.
+//!   by an all-gather, `2·⌈log₂ p⌉` rounds and `2·((p−1)/p)·n` words.
 //! * **broadcast / reduce** — binomial trees (`⌈log₂ p⌉` rounds).
 //! * **barrier** — dissemination (`⌈log₂ p⌉` rounds of empty messages).
 //! * **gather / scatter** — direct (used only outside the iteration loop,
 //!   for dataset distribution and result collection).
+//!
+//! The first three exist once, as the suspendable state machines of
+//! [`pending`](crate::pending). A blocking call here builds the same
+//! machine a `post_*` call would and drives it to completion inline,
+//! parking on every missing message; it is charged as time to its
+//! [`Op`] but records no post, pending count or overlap window. So the
+//! blocking and split-phase forms put identical tags, words and messages
+//! on the wire.
 //!
 //! Every payload word and message is recorded in the rank's
 //! [`CommStats`](crate::stats::CommStats) so tests can compare counted
@@ -36,13 +42,9 @@
 //! iteration loops call only the `_into` forms. (Message payloads
 //! crossing the channel transport are still boxed by the transport — that
 //! is the virtual interconnect, not the compute path.)
-//!
-//! Equal-block collectives (`all_gather`, `all_gather_into`, and the
-//! segment layout inside `all_reduce` when `p | n`) use a constant-space
-//! `Counts::Eq` descriptor instead of materializing a `vec![len; p]`
-//! per call.
 
 use crate::comm::{Comm, Kind};
+use crate::pending::Counts;
 use crate::stats::Op;
 
 /// `⌈log₂ p⌉` (0 for p ≤ 1); the latency factor of every collective here.
@@ -60,121 +62,9 @@ pub fn prev_pow2(p: usize) -> usize {
     1 << (usize::BITS - 1 - p.leading_zeros())
 }
 
-/// Per-rank block lengths of a `v`-style collective, without forcing the
-/// equal-block case to materialize a vector.
-#[derive(Clone, Copy)]
-pub(crate) enum Counts<'a> {
-    /// Every rank contributes the same number of words.
-    Eq(usize),
-    /// Rank `r` contributes `counts[r]` words.
-    Var(&'a [usize]),
-}
-
-impl Counts<'_> {
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> usize {
-        match self {
-            Counts::Eq(len) => *len,
-            Counts::Var(c) => c[i],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn total(&self, p: usize) -> usize {
-        match self {
-            Counts::Eq(len) => len * p,
-            Counts::Var(c) => c.iter().sum(),
-        }
-    }
-
-    /// Collapses a per-rank counts slice to `Eq` when every entry is the
-    /// same — the equal-counts fast path that lets Bruck's rotated offsets
-    /// be computed arithmetically instead of via a prefix table.
-    #[inline]
-    pub(crate) fn detect(counts: &[usize]) -> Counts<'_> {
-        if counts.windows(2).all(|w| w[0] == w[1]) {
-            Counts::Eq(counts.first().copied().unwrap_or(0))
-        } else {
-            Counts::Var(counts)
-        }
-    }
-}
-
-/// Rotated-block prefix offsets for Bruck's all-gather: `at(t)` is the
-/// number of words in rotated blocks `0..t`. Equal blocks need no table —
-/// the offset is just `t · len` — which is what makes the equal-counts
-/// fast path worthwhile for the split-phase gatherv on uniform grids.
-pub(crate) enum RotOff {
-    Eq(usize),
-    /// Prefix table checked out of the communicator arena.
-    Var(Vec<usize>),
-}
-
-impl RotOff {
-    /// Builds offsets for rank `r` of `p`: rotated block `t` is the block
-    /// of rank `(r + t) mod p`.
-    pub(crate) fn build(core: &crate::comm::CommCore, counts: Counts<'_>, p: usize) -> RotOff {
-        match counts {
-            Counts::Eq(len) => RotOff::Eq(len),
-            Counts::Var(_) => {
-                let r = core.rank;
-                let mut table = core.take_idx();
-                prefix_sums_into(p, &mut table, |t| counts.get((r + t) % p));
-                RotOff::Var(table)
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn at(&self, t: usize) -> usize {
-        match self {
-            RotOff::Eq(len) => len * t,
-            RotOff::Var(table) => table[t],
-        }
-    }
-
-    /// Returns any arena scratch held by the offsets.
-    pub(crate) fn release(self, core: &crate::comm::CommCore) {
-        if let RotOff::Var(table) = self {
-            core.put_idx(table);
-        }
-    }
-}
-
-/// Appends the prefix sums of `count_of(0..n)` to `out` (which must be
-/// empty): `out[i] = Σ_{t<i} count_of(t)`, length `n + 1`. One
-/// implementation for every offset table the collectives build (rotated
-/// Bruck blocks, rank segments, virtual fold chunks).
-pub(crate) fn prefix_sums_into(n: usize, out: &mut Vec<usize>, count_of: impl Fn(usize) -> usize) {
-    debug_assert!(out.is_empty());
-    out.push(0);
-    for i in 0..n {
-        out.push(out[i] + count_of(i));
-    }
-}
-
-pub(crate) fn add_into(acc: &mut [f64], other: &[f64]) {
-    assert_eq!(acc.len(), other.len(), "reduction operand length mismatch");
-    for (a, b) in acc.iter_mut().zip(other) {
-        *a += b;
-    }
-}
-
-/// Copies Bruck's rotated staging back into rank order: output block `j`
-/// is rotated block `(j − r) mod p`.
-pub(crate) fn unrotate(rot: &[f64], rot_off: &RotOff, p: usize, r: usize, out: &mut [f64]) {
-    let mut off = 0;
-    for j in 0..p {
-        let t = (j + p - r) % p;
-        let len = rot_off.at(t + 1) - rot_off.at(t);
-        out[off..off + len].copy_from_slice(&rot[rot_off.at(t)..rot_off.at(t) + len]);
-        off += len;
-    }
-}
-
 impl Comm {
     // ------------------------------------------------------------------
-    // all-gather
+    // all-gather / reduce-scatter / all-reduce: machines driven inline
     // ------------------------------------------------------------------
 
     /// All-gather with equal block sizes: every rank contributes `send`
@@ -188,9 +78,9 @@ impl Comm {
     /// Equal-block all-gather into caller-owned `out`
     /// (`send.len() * size()` words, blocks in rank order).
     pub fn all_gather_into(&self, send: &[f64], out: &mut [f64]) {
-        let seq = self.next_seq();
         self.timed(Op::AllGather, || {
-            self.bruck_all_gatherv_into(send, Counts::Eq(send.len()), out, seq, Op::AllGather)
+            self.all_gatherv_machine(send, Counts::Eq(send.len()))
+                .complete_into(&self.core, Op::AllGather, out)
         });
     }
 
@@ -208,88 +98,11 @@ impl Comm {
     /// divisible grids) take the equal-block fast path and skip the
     /// rotated prefix table.
     pub fn all_gatherv_into(&self, send: &[f64], counts: &[usize], out: &mut [f64]) {
-        assert_eq!(
-            counts.len(),
-            self.size(),
-            "counts must have one entry per rank"
-        );
-        let seq = self.next_seq();
         self.timed(Op::AllGather, || {
-            self.bruck_all_gatherv_into(send, Counts::detect(counts), out, seq, Op::AllGather)
+            self.all_gatherv_machine(send, Counts::per_rank(counts, self.size()))
+                .complete_into(&self.core, Op::AllGather, out)
         });
     }
-
-    /// Bruck all-gather over point-to-point exchanges. `⌈log₂ p⌉` rounds;
-    /// in round `t` a rank ships the `min(2ᵗ, p−2ᵗ)` blocks it holds.
-    ///
-    /// Blocks are staged in *rotated* order (position `t` holds the block
-    /// of rank `(r+t) mod p`): the initial block and every received run
-    /// of blocks append contiguously, so each round's send is a prefix of
-    /// the staging buffer and the only data movement beyond the wire is
-    /// the final unrotation into `out`. The staging buffer and the
-    /// rotated prefix table come from the communicator arena.
-    pub(crate) fn bruck_all_gatherv_into(
-        &self,
-        send: &[f64],
-        counts: Counts<'_>,
-        out: &mut [f64],
-        seq: u64,
-        op: Op,
-    ) {
-        let p = self.size();
-        let r = self.rank();
-        assert_eq!(
-            counts.get(r),
-            send.len(),
-            "my block length disagrees with counts"
-        );
-        assert_eq!(
-            out.len(),
-            counts.total(p),
-            "all-gather output length mismatch"
-        );
-        if p == 1 {
-            out.copy_from_slice(send);
-            return;
-        }
-
-        // rot_off.at(t) = words of rotated blocks 0..t; rotated block t is
-        // the block of rank (r + t) mod p. Equal counts need no table.
-        let rot_off = RotOff::build(&self.core, counts, p);
-
-        let mut rot = self.take_buf();
-        rot.reserve(rot_off.at(p));
-        rot.extend_from_slice(send);
-
-        let mut have = 1usize;
-        let mut round = 0u64;
-        while have < p {
-            let cnt = have.min(p - have);
-            let dst = (r + p - have) % p;
-            let src = (r + have) % p;
-            let tag = self.tag(Kind::AllGather, (seq << 6) | round);
-            // Ship rotated blocks [0, cnt): a contiguous prefix. Receive
-            // the blocks of ranks src..src+cnt — rotated positions
-            // have..have+cnt — which append contiguously.
-            let data = self.exchange(dst, src, tag, &rot[..rot_off.at(cnt)], op);
-            assert_eq!(
-                data.len(),
-                rot_off.at(have + cnt) - rot_off.at(have),
-                "all-gather round payload length mismatch"
-            );
-            rot.extend_from_slice(&data);
-            have += cnt;
-            round += 1;
-        }
-
-        unrotate(&rot, &rot_off, p, r, out);
-        self.put_buf(rot);
-        rot_off.release(&self.core);
-    }
-
-    // ------------------------------------------------------------------
-    // reduce-scatter
-    // ------------------------------------------------------------------
 
     /// Reduce-scatter: element-wise sums `data` across ranks and leaves
     /// rank `r` with the segment of length `counts[r]` (segments in rank
@@ -303,171 +116,14 @@ impl Comm {
 
     /// Reduce-scatter into caller-owned `out` (length `counts[rank]`).
     pub fn reduce_scatter_into(&self, data: &[f64], counts: &[usize], out: &mut [f64]) {
-        assert_eq!(
-            counts.len(),
-            self.size(),
-            "counts must have one entry per rank"
-        );
-        let seq = self.next_seq();
         self.timed(Op::ReduceScatter, || {
-            self.halving_reduce_scatter_into(data, Counts::Var(counts), out, seq, Op::ReduceScatter)
+            self.reduce_scatter_machine(data, counts).complete_into(
+                &self.core,
+                Op::ReduceScatter,
+                out,
+            )
         });
     }
-
-    pub(crate) fn halving_reduce_scatter_into(
-        &self,
-        data: &[f64],
-        counts: Counts<'_>,
-        out: &mut [f64],
-        seq: u64,
-        op: Op,
-    ) {
-        let p = self.size();
-        let r = self.rank();
-        assert_eq!(
-            data.len(),
-            counts.total(p),
-            "data length must equal sum of counts"
-        );
-        assert_eq!(
-            out.len(),
-            counts.get(r),
-            "reduce-scatter output length mismatch"
-        );
-        if p == 1 {
-            out.copy_from_slice(data);
-            return;
-        }
-        let t = |round: u64| self.tag(Kind::ReduceScatter, (seq << 6) | round);
-
-        // off[i] = start of rank i's segment in `data`.
-        let mut off = self.take_idx();
-        prefix_sums_into(p, &mut off, |i| counts.get(i));
-
-        let pof2 = prev_pow2(p);
-        let rem = p - pof2;
-        let mut buf = self.take_buf();
-        buf.extend_from_slice(data);
-
-        // Fold: the first 2·rem ranks pair up; evens ship their whole
-        // vector to their odd neighbour and drop out of the halving.
-        let newrank: Option<usize> = if r < 2 * rem {
-            if r.is_multiple_of(2) {
-                self.send_op(r + 1, t(0), &buf, op);
-                None
-            } else {
-                let other = self.recv_op(r - 1, t(0));
-                add_into(&mut buf, &other);
-                Some(r / 2)
-            }
-        } else {
-            Some(r - rem)
-        };
-
-        // Virtual chunk v aggregates the real chunks of the rank(s) that
-        // fold onto surviving rank v: {2v, 2v+1} for v < rem, {v + rem}
-        // otherwise. Virtual chunks are contiguous in `buf`; voff is
-        // their prefix-sum table.
-        let mut voff = self.take_idx();
-        prefix_sums_into(pof2, &mut voff, |v| {
-            if v < rem {
-                counts.get(2 * v) + counts.get(2 * v + 1)
-            } else {
-                counts.get(v + rem)
-            }
-        });
-        let real_of = |nr: usize| if nr < rem { 2 * nr + 1 } else { nr + rem };
-
-        match newrank {
-            Some(nr) => {
-                let (mut lo, mut hi) = (0usize, pof2);
-                let mut dist = pof2 / 2;
-                let mut round = 1u64;
-                while dist >= 1 {
-                    let mid = lo + dist;
-                    let partner = real_of(nr ^ dist);
-                    if nr < mid {
-                        let recv = self.exchange(
-                            partner,
-                            partner,
-                            t(round),
-                            &buf[voff[mid]..voff[hi]],
-                            op,
-                        );
-                        add_into(&mut buf[voff[lo]..voff[mid]], &recv);
-                        hi = mid;
-                    } else {
-                        let recv = self.exchange(
-                            partner,
-                            partner,
-                            t(round),
-                            &buf[voff[lo]..voff[mid]],
-                            op,
-                        );
-                        add_into(&mut buf[voff[mid]..voff[hi]], &recv);
-                        lo = mid;
-                    }
-                    dist /= 2;
-                    round += 1;
-                }
-                debug_assert_eq!(lo, nr);
-                debug_assert_eq!(hi, nr + 1);
-                if nr < rem {
-                    // My virtual chunk covers real ranks 2nr (my folded
-                    // partner) and 2nr+1 (me). Ship the partner's segment
-                    // back.
-                    self.send_op(2 * nr, t(40), &buf[off[2 * nr]..off[2 * nr + 1]], op);
-                    out.copy_from_slice(&buf[off[2 * nr + 1]..off[2 * nr + 2]]);
-                } else {
-                    out.copy_from_slice(&buf[off[nr + rem]..off[nr + rem + 1]]);
-                }
-            }
-            None => out.copy_from_slice(&self.recv_op(r + 1, t(40))),
-        }
-        self.put_buf(buf);
-        self.put_idx(voff);
-        self.put_idx(off);
-    }
-
-    /// Ring reduce-scatter (ablation alternative): `p−1` rounds, same
-    /// bandwidth as recursive halving but `Θ(p)` latency.
-    ///
-    /// Segments travel rightward around the ring accumulating partial
-    /// sums; segment `s` starts at rank `s+1` and arrives, complete, at
-    /// rank `s` on the final round.
-    pub fn reduce_scatter_ring(&self, data: &[f64], counts: &[usize]) -> Vec<f64> {
-        let p = self.size();
-        let r = self.rank();
-        assert_eq!(counts.len(), p);
-        let mut off = Vec::with_capacity(p + 1);
-        prefix_sums_into(p, &mut off, |i| counts[i]);
-        assert_eq!(data.len(), *off.last().unwrap());
-        let seq = self.next_seq();
-        self.timed(Op::ReduceScatter, || {
-            if p == 1 {
-                return data.to_vec();
-            }
-            let dst = (r + 1) % p;
-            let src = (r + p - 1) % p;
-            let seg = |s: usize| &data[off[s]..off[s + 1]];
-            // Round t: send the running sum of segment (r−t−1), receive
-            // segment (r−t−2) from the left and fold in my contribution.
-            let mut acc: Vec<f64> = seg((r + p - 1) % p).to_vec();
-            for t in 0..p - 1 {
-                let tag = self.tag(Kind::ReduceScatter, (seq << 6) | t as u64);
-                let incoming = self.exchange(dst, src, tag, &acc, Op::ReduceScatter);
-                let recv_seg = (r + 2 * p - t - 2) % p;
-                acc = seg(recv_seg).to_vec();
-                add_into(&mut acc, &incoming);
-            }
-            // After p−1 rounds acc is my own segment, fully reduced.
-            acc
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // all-reduce
-    // ------------------------------------------------------------------
 
     /// All-reduce (element-wise sum) via Rabenseifner's algorithm:
     /// reduce-scatter over near-equal segments, then all-gather.
@@ -481,70 +137,10 @@ impl Comm {
     /// element-wise sum across ranks. Zero allocations in steady state
     /// (scratch comes from the communicator arena).
     pub fn all_reduce_into(&self, data: &mut [f64]) {
-        let p = self.size();
-        let seq = self.next_seq();
         self.timed(Op::AllReduce, || {
-            if p == 1 {
-                return;
-            }
-            let n = data.len();
-            let base = n / p;
-            let extra = n % p;
-            let mut seg = self.take_buf();
-            if extra == 0 {
-                // Equal-segment fast path: no counts table at all.
-                let counts = Counts::Eq(base);
-                seg.resize(base, 0.0);
-                self.halving_reduce_scatter_into(data, counts, &mut seg, seq, Op::AllReduce);
-                let seq2 = self.next_seq();
-                self.bruck_all_gatherv_into(&seg, counts, data, seq2, Op::AllReduce);
-            } else {
-                let mut cvec = self.take_idx();
-                cvec.extend((0..p).map(|r| base + usize::from(r < extra)));
-                let counts = Counts::Var(&cvec);
-                seg.resize(cvec[self.rank()], 0.0);
-                self.halving_reduce_scatter_into(data, counts, &mut seg, seq, Op::AllReduce);
-                let seq2 = self.next_seq();
-                self.bruck_all_gatherv_into(&seg, counts, data, seq2, Op::AllReduce);
-                self.put_idx(cvec);
-            }
-            self.put_buf(seg);
+            self.all_reduce_machine(data)
+                .complete_into(&self.core, Op::AllReduce, data)
         });
-    }
-
-    /// All-reduce via binomial-tree reduce to rank 0 plus binomial
-    /// broadcast (ablation alternative: lower latency for tiny payloads,
-    /// double the bandwidth term and a serialized root).
-    pub fn all_reduce_tree(&self, data: &[f64]) -> Vec<f64> {
-        let p = self.size();
-        let r = self.rank();
-        let seq = self.next_seq();
-        self.timed(Op::AllReduce, || {
-            if p == 1 {
-                return data.to_vec();
-            }
-            let t = |round: u64| self.tag(Kind::AllReduce, (seq << 6) | round);
-            let mut buf = data.to_vec();
-            // Binomial reduce toward rank 0.
-            let mut dist = 1usize;
-            while dist < p {
-                if r & dist != 0 {
-                    self.send_op(
-                        r - dist,
-                        t(dist.trailing_zeros() as u64),
-                        &buf,
-                        Op::AllReduce,
-                    );
-                    break;
-                } else if r + dist < p {
-                    let other = self.recv_op(r + dist, t(dist.trailing_zeros() as u64));
-                    add_into(&mut buf, &other);
-                }
-                dist <<= 1;
-            }
-            // Binomial broadcast from rank 0.
-            self.binomial_bcast(0, buf, seq, Op::AllReduce)
-        })
     }
 
     /// Convenience: all-reduce of one scalar.

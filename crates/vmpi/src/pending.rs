@@ -1,16 +1,28 @@
-//! Split-phase (nonblocking) collectives: `post_*` / [`PendingOp::wait`].
+//! The collective algorithms, as suspendable state machines, and their
+//! split-phase (nonblocking) API: `post_*` / [`PendingOp::wait`].
 //!
-//! A posted collective runs the *same* algorithm as its synchronous
-//! counterpart — Bruck all-gather, recursive-halving reduce-scatter,
-//! Rabenseifner all-reduce — with identical tags, message counts, and
-//! word counts, so the exact communication-cost accounting is unchanged.
-//! What changes is the schedule: `post_*` stages the caller's input into
-//! arena buffers, issues every send that does not depend on an unreceived
-//! message (at minimum the whole first round), drains whatever replies
-//! already arrived, and returns a [`PendingOp`]. The caller then computes
-//! while peers' messages accumulate in the transport; `wait(out)` drives
-//! the remaining rounds to completion and unstages the result into the
-//! caller-owned output.
+//! Each of the three per-iteration collectives has exactly one
+//! implementation here: `AgMachine` (Bruck all-gather), `RsMachine`
+//! (recursive-halving reduce-scatter) and `ArMachine` (Rabenseifner
+//! all-reduce: the reduce-scatter machine chained into the all-gather
+//! machine). A machine owns its staging (checked out of the communicator
+//! arena) and advances round by round under a *receive budget*: an
+//! arrived message is always consumed, a missing one either parks the
+//! thread (one budget unit) or suspends the machine (budget spent).
+//!
+//! Two forms drive the same machine, so both put identical tags, words
+//! and messages on the wire:
+//!
+//! * **blocking** (`Comm::all_gatherv_into` and friends in
+//!   [`collectives`](crate::collectives)) — build the machine and drive it
+//!   to completion inline with an unlimited budget. Charged as time to
+//!   the op; records no post, pending count or overlap window.
+//! * **split-phase** (`post_*` here) — build the machine, issue every
+//!   send that does not depend on an unreceived message (at minimum the
+//!   whole first round), drain whatever already arrived, and return a
+//!   [`PendingOp`]. The caller then computes while peers' messages
+//!   accumulate in the transport; `wait(out)` drives the remaining rounds
+//!   and unstages the result into the caller-owned output.
 //!
 //! Progress happens only inside `post_*` and `wait` — there is no
 //! progress thread. That is enough to overlap, because every send is
@@ -20,20 +32,60 @@
 //!
 //! ## Ownership and deadlock rules
 //!
-//! * The machine owns all staging (checked out of the communicator
-//!   arena), so the caller's buffers are free for compute the moment
-//!   `post_*` returns, and the next collective simply checks out
-//!   different arena buffers — double-buffering by pooling.
+//! * The machine owns all staging, so the caller's buffers are free for
+//!   compute the moment `post_*` returns, and the next collective simply
+//!   checks out different arena buffers — double-buffering by pooling.
 //! * Every rank must post and wait its collectives in the same program
 //!   order. Posts never block, so every rank always reaches its next
 //!   `wait`, and waits complete in order.
 //! * A `PendingOp` must be waited before it is dropped (debug-asserted):
 //!   a leaked post would leave peers blocked forever with no diagnostic.
 
-use crate::collectives::{add_into, prefix_sums_into, prev_pow2, unrotate, Counts, RotOff};
+use crate::collectives::prev_pow2;
 use crate::comm::{Comm, CommCore, Kind};
 use crate::stats::Op;
 use std::time::Instant;
+
+/// Per-rank block lengths of a `v`-style collective, without forcing the
+/// equal-block case to materialize a vector.
+#[derive(Clone, Copy)]
+pub(crate) enum Counts<'a> {
+    /// Every rank contributes the same number of words.
+    Eq(usize),
+    /// Rank `r` contributes `counts[r]` words.
+    Var(&'a [usize]),
+}
+
+impl Counts<'_> {
+    /// Checks that a caller's counts slice has one entry per rank of a
+    /// `p`-rank communicator, and collapses it to `Eq` when every entry
+    /// is the same — the equal-counts fast path that lets Bruck's rotated
+    /// offsets be computed arithmetically instead of via a prefix table.
+    pub(crate) fn per_rank(counts: &[usize], p: usize) -> Counts<'_> {
+        assert_eq!(counts.len(), p, "counts must have one entry per rank");
+        if counts.windows(2).all(|w| w[0] == w[1]) {
+            Counts::Eq(counts.first().copied().unwrap_or(0))
+        } else {
+            Counts::Var(counts)
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> usize {
+        match self {
+            Counts::Eq(len) => *len,
+            Counts::Var(c) => c[i],
+        }
+    }
+
+    #[inline]
+    fn total(&self, p: usize) -> usize {
+        match self {
+            Counts::Eq(len) => len * p,
+            Counts::Var(c) => c.iter().sum(),
+        }
+    }
+}
 
 /// `Counts` that a pending machine can own across the post→wait window
 /// (the borrowed form would tie the op to the caller's slice).
@@ -62,13 +114,85 @@ impl OwnedCounts {
     }
 }
 
+/// Rotated-block prefix offsets for Bruck's all-gather: `at(t)` is the
+/// number of words in rotated blocks `0..t`. Equal blocks need no table —
+/// the offset is just `t · len` — which is what makes the equal-counts
+/// fast path worthwhile on uniform grids.
+enum RotOff {
+    Eq(usize),
+    /// Prefix table checked out of the communicator arena.
+    Var(Vec<usize>),
+}
+
+impl RotOff {
+    /// Builds offsets for rank `r` of `p`: rotated block `t` is the block
+    /// of rank `(r + t) mod p`.
+    fn build(core: &CommCore, counts: Counts<'_>, p: usize) -> RotOff {
+        match counts {
+            Counts::Eq(len) => RotOff::Eq(len),
+            Counts::Var(_) => {
+                let r = core.rank;
+                let mut table = core.take_idx();
+                prefix_sums_into(p, &mut table, |t| counts.get((r + t) % p));
+                RotOff::Var(table)
+            }
+        }
+    }
+
+    #[inline]
+    fn at(&self, t: usize) -> usize {
+        match self {
+            RotOff::Eq(len) => len * t,
+            RotOff::Var(table) => table[t],
+        }
+    }
+
+    /// Returns any arena scratch held by the offsets.
+    fn release(self, core: &CommCore) {
+        if let RotOff::Var(table) = self {
+            core.put_idx(table);
+        }
+    }
+}
+
+/// Appends the prefix sums of `count_of(0..n)` to `out` (which must be
+/// empty): `out[i] = Σ_{t<i} count_of(t)`, length `n + 1`. One
+/// implementation for every offset table the machines build (rotated
+/// Bruck blocks, rank segments, virtual fold chunks).
+fn prefix_sums_into(n: usize, out: &mut Vec<usize>, count_of: impl Fn(usize) -> usize) {
+    debug_assert!(out.is_empty());
+    out.push(0);
+    for i in 0..n {
+        out.push(out[i] + count_of(i));
+    }
+}
+
+fn add_into(acc: &mut [f64], other: &[f64]) {
+    assert_eq!(acc.len(), other.len(), "reduction operand length mismatch");
+    for (a, b) in acc.iter_mut().zip(other) {
+        *a += b;
+    }
+}
+
+/// Copies Bruck's rotated staging back into rank order: output block `j`
+/// is rotated block `(j − r) mod p`.
+fn unrotate(rot: &[f64], rot_off: &RotOff, p: usize, r: usize, out: &mut [f64]) {
+    let mut off = 0;
+    for j in 0..p {
+        let t = (j + p - r) % p;
+        let len = rot_off.at(t + 1) - rot_off.at(t);
+        out[off..off + len].copy_from_slice(&rot[rot_off.at(t)..rot_off.at(t) + len]);
+        off += len;
+    }
+}
+
 /// Receive helper. `budget` is the number of *parking* (blocking)
 /// receives the caller still allows: an arrived message is always taken
 /// for free; a missing one either consumes one budget unit and blocks,
 /// or returns `None` so the machine can suspend. Driving with budget 0
 /// is pure opportunistic progress; [`PendingOp::wait_with`] drives with
 /// budget 1 per round-trip so it can advance *sibling* ops between
-/// parks.
+/// parks; the blocking form drives with an unlimited budget.
 fn fetch(core: &CommCore, src: usize, tag: u64, budget: &mut usize) -> Option<Box<[f64]>> {
     if let Some(msg) = core.try_recv_op(src, tag) {
         return Some(msg);
@@ -84,9 +208,15 @@ fn fetch(core: &CommCore, src: usize, tag: u64, budget: &mut usize) -> Option<Bo
 // Bruck all-gather machine
 // ----------------------------------------------------------------------
 
-/// In-flight Bruck all-gather: identical rounds to
-/// [`Comm::all_gatherv_into`], suspended between messages.
-struct AgMachine {
+/// Bruck all-gather. `⌈log₂ p⌉` rounds; in round `t` a rank ships the
+/// `min(2ᵗ, p−2ᵗ)` blocks it holds.
+///
+/// Blocks are staged in *rotated* order (position `t` holds the block
+/// of rank `(r+t) mod p`): the initial block and every received run of
+/// blocks append contiguously, so each round's send is a prefix of the
+/// staging buffer and the only data movement beyond the wire is the
+/// final unrotation into the output.
+pub(crate) struct AgMachine {
     /// Rotated staging (arena): initial block + every received run.
     rot: Vec<f64>,
     rot_off: RotOff,
@@ -196,9 +326,11 @@ enum RsPhase {
     Done { start: usize, len: usize },
 }
 
-/// In-flight recursive-halving reduce-scatter: identical message flow to
-/// [`Comm::reduce_scatter_into`], suspended between messages.
-struct RsMachine {
+/// Recursive-halving reduce-scatter with a fold step for
+/// non-power-of-two `p`: the first `2·rem` ranks pair up, evens ship
+/// their whole vector to their odd neighbour and drop out of the
+/// halving, and get their finished segment back at the end.
+pub(crate) struct RsMachine {
     /// Accumulator (arena): a staged copy of the caller's input.
     buf: Vec<f64>,
     /// Real segment offsets, `off[i]` = start of rank `i`'s segment.
@@ -245,6 +377,10 @@ impl RsMachine {
         prefix_sums_into(p, &mut off, |i| counts.get(i));
         let pof2 = prev_pow2(p);
         let rem = p - pof2;
+        // Virtual chunk v aggregates the real chunks of the rank(s) that
+        // fold onto surviving rank v: {2v, 2v+1} for v < rem, {v + rem}
+        // otherwise. Virtual chunks are contiguous in `buf`; voff is
+        // their prefix-sum table.
         let mut voff = core.take_idx();
         prefix_sums_into(pof2, &mut voff, |v| {
             if v < rem {
@@ -427,9 +563,9 @@ enum ArStage {
     Ag(AgMachine),
 }
 
-/// In-flight Rabenseifner all-reduce: the reduce-scatter machine chained
-/// into the all-gather machine, matching [`Comm::all_reduce_into`].
-struct ArMachine {
+/// Rabenseifner all-reduce: the reduce-scatter machine over near-equal
+/// segments chained into the all-gather machine over the same layout.
+pub(crate) struct ArMachine {
     counts: OwnedCounts,
     stage: ArStage,
     seq_ag: u64,
@@ -517,10 +653,12 @@ impl ArMachine {
 }
 
 // ----------------------------------------------------------------------
-// The public handle
+// Building and driving machines
 // ----------------------------------------------------------------------
 
-enum Machine {
+/// One collective in flight: the state both the blocking form and a
+/// [`PendingOp`] drive.
+pub(crate) enum Machine {
     Gather(AgMachine),
     Scatter(RsMachine),
     Reduce(ArMachine),
@@ -535,6 +673,13 @@ impl Machine {
         }
     }
 
+    /// Drives every remaining round, parking on each missing message.
+    fn run_to_end(&mut self, core: &CommCore, op: Op) {
+        let mut unlimited = usize::MAX;
+        let done = self.step(core, op, &mut unlimited);
+        debug_assert!(done, "an unlimited receive budget completes the machine");
+    }
+
     fn finish_into(self, core: &CommCore, out: &mut [f64]) {
         match self {
             Machine::Gather(m) => m.finish_into(core, out),
@@ -543,12 +688,17 @@ impl Machine {
         }
     }
 
+    /// The blocking form: drives the collective to completion inline and
+    /// unstages the result into `out`. Records nothing split-phase.
+    pub(crate) fn complete_into(mut self, core: &CommCore, op: Op, out: &mut [f64]) {
+        self.run_to_end(core, op);
+        self.finish_into(core, out);
+    }
+
     /// Completes the collective (blocking) and releases staging without
     /// producing output — the [`PendingOp::discard`] path.
     fn run_out(mut self, core: &CommCore, op: Op) {
-        let mut unlimited = usize::MAX;
-        let done = self.step(core, op, &mut unlimited);
-        debug_assert!(done);
+        self.run_to_end(core, op);
         match self {
             Machine::Gather(m) => m.abandon(core),
             Machine::Scatter(m) => m.abandon(core),
@@ -556,6 +706,83 @@ impl Machine {
         }
     }
 }
+
+impl Comm {
+    /// Builds a `v`-variant all-gather machine, taking one sequence number.
+    pub(crate) fn all_gatherv_machine(&self, send: &[f64], counts: Counts<'_>) -> Machine {
+        Machine::Gather(AgMachine::new(&self.core, send, counts, self.next_seq()))
+    }
+
+    /// Builds a reduce-scatter machine, taking one sequence number.
+    pub(crate) fn reduce_scatter_machine(&self, data: &[f64], counts: &[usize]) -> Machine {
+        let counts = Counts::per_rank(counts, self.size());
+        Machine::Scatter(RsMachine::new(&self.core, data, counts, self.next_seq()))
+    }
+
+    /// Builds an all-reduce machine, taking two sequence numbers (one for
+    /// each half of the pipeline), or one when `p == 1`.
+    pub(crate) fn all_reduce_machine(&self, data: &[f64]) -> Machine {
+        let seq = self.next_seq();
+        let seq_ag = if self.size() > 1 {
+            self.next_seq()
+        } else {
+            seq
+        };
+        Machine::Reduce(ArMachine::new(&self.core, data, seq, seq_ag))
+    }
+
+    /// Posts a `v`-variant all-gather (same contract as
+    /// [`Comm::all_gatherv_into`]); `wait(out)` needs `out.len()` equal to
+    /// the sum of `counts`. `send` is staged and free for reuse on return.
+    pub fn post_all_gatherv(&self, send: &[f64], counts: &[usize]) -> PendingOp {
+        self.post(Op::AllGather, || {
+            self.all_gatherv_machine(send, Counts::per_rank(counts, self.size()))
+        })
+    }
+
+    /// Posts a reduce-scatter (same contract as
+    /// [`Comm::reduce_scatter_into`]); `wait(out)` needs `out.len()` equal
+    /// to `counts[rank]`. `data` is staged and free for reuse on return.
+    pub fn post_reduce_scatter(&self, data: &[f64], counts: &[usize]) -> PendingOp {
+        self.post(Op::ReduceScatter, || {
+            self.reduce_scatter_machine(data, counts)
+        })
+    }
+
+    /// Posts an all-reduce (element-wise sum, same result as
+    /// [`Comm::all_reduce_into`]); `wait(out)` needs `out.len()` equal to
+    /// `data.len()`. `data` is staged and free for reuse on return.
+    pub fn post_all_reduce(&self, data: &[f64]) -> PendingOp {
+        self.post(Op::AllReduce, || self.all_reduce_machine(data))
+    }
+
+    fn post(&self, op: Op, build: impl FnOnce() -> Machine) -> PendingOp {
+        let post_begin = Instant::now();
+        let mut machine = build();
+        let core = self.core.clone();
+        core.ep.pending_inc();
+        // Eager progress: issue the first round's sends (and any further
+        // rounds whose inputs already arrived) before returning to compute.
+        machine.step(&core, op, &mut 0);
+        let post_end = Instant::now();
+        {
+            let mut stats = core.stats.borrow_mut();
+            stats.record_post(op);
+            stats.record_time(op, post_end.saturating_duration_since(post_begin));
+        }
+        PendingOp {
+            core,
+            op,
+            machine: Some(machine),
+            post_begin,
+            post_end,
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The public handle
+// ----------------------------------------------------------------------
 
 /// Handle to a posted collective. Obtain from [`Comm::post_all_gatherv`],
 /// [`Comm::post_reduce_scatter`], or [`Comm::post_all_reduce`]; complete
@@ -571,9 +798,9 @@ pub struct PendingOp {
 
 impl PendingOp {
     /// Blocks until the collective completes and writes the result into
-    /// caller-owned `out` (same length contract as the synchronous
-    /// `_into` variant). Records the wall-clock overlap window — the time
-    /// between post returning and wait starting — in the comm stats.
+    /// caller-owned `out` (same length contract as the blocking `_into`
+    /// form). Records the wall-clock overlap window — the time between
+    /// post returning and wait starting — in the comm stats.
     pub fn wait(self, out: &mut [f64]) {
         self.wait_with(out, || {});
     }
@@ -604,15 +831,7 @@ impl PendingOp {
             }
         }
         machine.finish_into(&self.core, out);
-        self.core.ep.pending_dec();
-        let wait_end = Instant::now();
-        let mut stats = self.core.stats.borrow_mut();
-        stats.record_time(self.op, wait_end - wait_begin);
-        stats.record_split_wait(
-            self.op,
-            wait_begin.saturating_duration_since(self.post_end),
-            wait_end.saturating_duration_since(self.post_begin),
-        );
+        self.retire(wait_begin);
     }
 
     /// Drives the machine over every message that has already arrived,
@@ -638,6 +857,11 @@ impl PendingOp {
             .take()
             .expect("PendingOp::discard on an already-waited op");
         machine.run_out(&self.core, self.op);
+        self.retire(wait_begin);
+    }
+
+    /// Marks the op retired and charges its wait time and windows.
+    fn retire(&self, wait_begin: Instant) {
         self.core.ep.pending_dec();
         let wait_end = Instant::now();
         let mut stats = self.core.stats.borrow_mut();
@@ -664,79 +888,5 @@ impl Drop for PendingOp {
                 );
             }
         }
-    }
-}
-
-impl Comm {
-    /// Posts a `v`-variant all-gather (same contract as
-    /// [`Comm::all_gatherv_into`]); `wait(out)` needs `out.len()` equal to
-    /// the sum of `counts`. `send` is staged and free for reuse on return.
-    pub fn post_all_gatherv(&self, send: &[f64], counts: &[usize]) -> PendingOp {
-        assert_eq!(
-            counts.len(),
-            self.size(),
-            "counts must have one entry per rank"
-        );
-        let post_begin = Instant::now();
-        let seq = self.next_seq();
-        let core = self.core.clone();
-        core.ep.pending_inc();
-        let machine = Machine::Gather(AgMachine::new(&core, send, Counts::detect(counts), seq));
-        finish_post(core, Op::AllGather, machine, post_begin)
-    }
-
-    /// Posts a reduce-scatter (same contract as
-    /// [`Comm::reduce_scatter_into`]); `wait(out)` needs `out.len()` equal
-    /// to `counts[rank]`. `data` is staged and free for reuse on return.
-    pub fn post_reduce_scatter(&self, data: &[f64], counts: &[usize]) -> PendingOp {
-        assert_eq!(
-            counts.len(),
-            self.size(),
-            "counts must have one entry per rank"
-        );
-        let post_begin = Instant::now();
-        let seq = self.next_seq();
-        let core = self.core.clone();
-        core.ep.pending_inc();
-        let machine = Machine::Scatter(RsMachine::new(&core, data, Counts::detect(counts), seq));
-        finish_post(core, Op::ReduceScatter, machine, post_begin)
-    }
-
-    /// Posts an all-reduce (element-wise sum, same result as
-    /// [`Comm::all_reduce_into`]); `wait(out)` needs `out.len()` equal to
-    /// `data.len()`. `data` is staged and free for reuse on return.
-    pub fn post_all_reduce(&self, data: &[f64]) -> PendingOp {
-        let post_begin = Instant::now();
-        let seq = self.next_seq();
-        // Mirror the synchronous path's sequence consumption: p == 1 uses
-        // one number, the reduce-scatter + all-gather pipeline two.
-        let seq_ag = if self.size() > 1 {
-            self.next_seq()
-        } else {
-            seq
-        };
-        let core = self.core.clone();
-        core.ep.pending_inc();
-        let machine = Machine::Reduce(ArMachine::new(&core, data, seq, seq_ag));
-        finish_post(core, Op::AllReduce, machine, post_begin)
-    }
-}
-
-fn finish_post(core: CommCore, op: Op, mut machine: Machine, post_begin: Instant) -> PendingOp {
-    // Eager progress: issue the first round's sends (and any further
-    // rounds whose inputs already arrived) before returning to compute.
-    machine.step(&core, op, &mut 0);
-    let post_end = Instant::now();
-    {
-        let mut stats = core.stats.borrow_mut();
-        stats.record_post(op);
-        stats.record_time(op, post_end.saturating_duration_since(post_begin));
-    }
-    PendingOp {
-        core,
-        op,
-        machine: Some(machine),
-        post_begin,
-        post_end,
     }
 }

@@ -172,22 +172,49 @@ fn posted_words_and_messages_match_sync_exactly() {
 #[test]
 fn posted_stats_record_posts_and_overlap_window() {
     let results = run(4, |comm| {
+        let p = comm.size();
         let data = vec![1.0; 64];
+        // Every blocking form drives its machine inline: it is charged
+        // messages and time, but nothing split-phase.
+        let mut gathered = vec![0.0; 64 * p];
+        comm.all_gather_into(&data, &mut gathered);
+        let ragged: Vec<usize> = (0..p).map(|r| 8 + 4 * r).collect();
+        let total: usize = ragged.iter().sum();
+        comm.all_gatherv_into(
+            &data[..ragged[comm.rank()]],
+            &ragged,
+            &mut gathered[..total],
+        );
+        let mut seg = vec![0.0; ragged[comm.rank()]];
+        comm.reduce_scatter_into(&data[..total], &ragged, &mut seg);
+        comm.all_reduce_into(&mut data.clone());
+        let blocking = comm.stats();
+
         let op = comm.post_all_reduce(&data);
         // A measurable compute window between post and wait.
         std::thread::sleep(std::time::Duration::from_millis(2));
         let mut out = vec![0.0; 64];
         op.wait(&mut out);
-        comm.stats().op(Op::AllReduce)
+        let posted = comm.stats().delta_since(&blocking).op(Op::AllReduce);
+        (blocking, posted)
     });
     for r in results {
-        assert_eq!(r.result.posts, 1);
+        let (blocking, posted) = r.result;
+        for op in [Op::AllGather, Op::ReduceScatter, Op::AllReduce] {
+            let s = blocking.op(op);
+            assert!(s.messages > 0, "{op:?}: the blocking form sent nothing");
+            assert_eq!(s.posts, 0, "{op:?}: the blocking form recorded a post");
+            assert_eq!(s.overlap, std::time::Duration::ZERO, "{op:?}");
+            assert_eq!(s.inflight, std::time::Duration::ZERO, "{op:?}");
+        }
+        assert_eq!(blocking.total_posts(), 0);
+        assert_eq!(posted.posts, 1);
         assert!(
-            r.result.overlap >= std::time::Duration::from_millis(2),
+            posted.overlap >= std::time::Duration::from_millis(2),
             "overlap window should cover the compute phase, got {:?}",
-            r.result.overlap
+            posted.overlap
         );
-        assert!(r.result.inflight >= r.result.overlap);
+        assert!(posted.inflight >= posted.overlap);
     }
 }
 
