@@ -1,5 +1,5 @@
-//! Shared infrastructure for the experiment binaries and Criterion
-//! benches that regenerate the paper's tables and figures.
+//! Shared infrastructure for the experiment binaries that regenerate
+//! the paper's tables and figures.
 //!
 //! Two complementary modes, documented in `EXPERIMENTS.md`:
 //!

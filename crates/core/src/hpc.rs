@@ -34,8 +34,8 @@
 //! workspace), the per-iteration `IterRecord` bookkeeping pushed onto the
 //! result vector (instrumentation, reserved up front), and the message
 //! boxes inside the channel transport (the "interconnect" — a real MPI
-//! would hand those to the NIC). The Criterion suite
-//! `benches/nmf_iteration.rs` tracks the resulting per-iteration times.
+//! would hand those to the NIC). The repository benchmark (`nmfbench/`)
+//! tracks the resulting per-iteration times.
 
 use crate::config::NmfConfig;
 use crate::engine::{AnlsEngine, Grid2D};

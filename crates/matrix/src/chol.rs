@@ -96,8 +96,7 @@ const NC: usize = 8;
 /// `NC = 8`-wide blocks, each forward/backward sweep keeping its block of
 /// partial solutions in a register accumulator — every `X` row is read
 /// once and written once per sweep, instead of once per `(i, k)` pair
-/// as in the column-at-a-time form (retained as
-/// [`cholesky_solve_percol_in_place`], the benchmark baseline).
+/// as in the column-at-a-time form.
 pub fn cholesky_solve_in_place(l: &Mat, b: &mut Mat) {
     assert_eq!(l.nrows(), l.ncols());
     assert_eq!(l.nrows(), b.nrows(), "rhs row count mismatch");
@@ -196,34 +195,6 @@ fn solve_sweep_edge(l: &Mat, b: &mut Mat, c0: usize, nc: usize) {
     }
 }
 
-/// Column-at-a-time `L·Lᵀ·X = B` solve: the pre-batching implementation,
-/// retained as the baseline the `chol_solve` Criterion group measures
-/// [`cholesky_solve_in_place`] against. Produces bit-identical results
-/// (the per-column reduction order is unchanged by the batching).
-pub fn cholesky_solve_percol_in_place(l: &Mat, b: &mut Mat) {
-    assert_eq!(l.nrows(), l.ncols());
-    assert_eq!(l.nrows(), b.nrows(), "rhs row count mismatch");
-    let n = l.nrows();
-    let r = b.ncols();
-    let x = b;
-    for c in 0..r {
-        for i in 0..n {
-            let mut s = x[(i, c)];
-            for k in 0..i {
-                s -= l[(i, k)] * x[(k, c)];
-            }
-            x[(i, c)] = s / l[(i, i)];
-        }
-        for i in (0..n).rev() {
-            let mut s = x[(i, c)];
-            for k in i + 1..n {
-                s -= l[(k, i)] * x[(k, c)];
-            }
-            x[(i, c)] = s / l[(i, i)];
-        }
-    }
-}
-
 /// Solves the SPD system `A·X = B`.
 ///
 /// If `A` is only semidefinite (Cholesky breakdown), retries with
@@ -314,6 +285,31 @@ mod tests {
         let b = Mat::filled(3, 2, 1.0);
         let sol = solve_spd(&g, &b).expect("shifted solve should succeed");
         assert!(sol.all_finite());
+    }
+
+    /// Column-at-a-time `L·Lᵀ·X = B` solve: the reference the batched
+    /// sweeps must reproduce bit for bit (batching does not change the
+    /// per-column reduction order).
+    fn cholesky_solve_percol_in_place(l: &Mat, b: &mut Mat) {
+        let n = l.nrows();
+        let r = b.ncols();
+        let x = b;
+        for c in 0..r {
+            for i in 0..n {
+                let mut s = x[(i, c)];
+                for k in 0..i {
+                    s -= l[(i, k)] * x[(k, c)];
+                }
+                x[(i, c)] = s / l[(i, i)];
+            }
+            for i in (0..n).rev() {
+                let mut s = x[(i, c)];
+                for k in i + 1..n {
+                    s -= l[(k, i)] * x[(k, c)];
+                }
+                x[(i, c)] = s / l[(i, i)];
+            }
+        }
     }
 
     #[test]

@@ -37,13 +37,6 @@
 //! [`PackedPanels::pack_transposed`] emits the same panel format while
 //! reading `A` row-by-row in `MR`-wide contiguous chunks.
 //!
-//! Two scalar baselines are retained for benchmarking and as reference
-//! implementations: [`matmul_blocked_into`] (the pre-SIMD cache-blocked
-//! 4×8 kernel — the comparison point for the `gemm_simd` Criterion
-//! group) and the seed's plain `ikj` loop ([`matmul_ikj_into`], which
-//! keeps its skip of explicit zeros — it doubles as the sparse-aware
-//! baseline).
-//!
 //! `*_into` variants write into caller-owned storage so per-iteration
 //! workspaces can be reused; the allocating wrappers exist for
 //! convenience at call sites that are not on a hot path.
@@ -59,10 +52,6 @@ use crate::pack::{pack_b_block, PackedPanels, KC, NR};
 use crate::simd;
 use rayon::prelude::*;
 use std::cell::RefCell;
-
-/// Rows of `C` accumulated in registers by the retained scalar-blocked
-/// baseline kernel ([`matmul_blocked_into`]).
-const MR_BLOCKED: usize = 4;
 
 thread_local! {
     /// Per-thread packing scratch: grows to the largest operands seen,
@@ -219,166 +208,6 @@ fn gemm_packed(p: &PackedPanels, b: &[f64], n: usize, c: &mut [f64], bpack: &mut
     }
 }
 
-/// `C = A·B` with the retained pre-SIMD cache-blocked kernel (`4×8`
-/// register microkernel over unpacked row-major operands). This is the
-/// baseline the `gemm_simd` Criterion group measures the packed SIMD
-/// path against; production call sites use [`matmul_into`].
-pub fn matmul_blocked_into(a: &Mat, b: &Mat, c: &mut Mat) {
-    assert_eq!(a.ncols(), b.nrows(), "matmul inner dimension mismatch");
-    assert_eq!(
-        c.shape(),
-        (a.nrows(), b.ncols()),
-        "matmul output shape mismatch"
-    );
-    c.as_mut_slice().fill(0.0);
-    gemm_slices(
-        a.as_slice(),
-        b.as_slice(),
-        c.as_mut_slice(),
-        a.nrows(),
-        a.ncols(),
-        b.ncols(),
-    );
-}
-
-/// The scalar blocked kernel on raw row-major slices: `c += a·b` where
-/// `a` is `m×kdim`, `b` is `kdim×n`, `c` is `m×n` (all dense, leading
-/// dimension equal to the column count). `c` must be pre-initialized.
-fn gemm_slices(a: &[f64], b: &[f64], c: &mut [f64], m: usize, kdim: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * kdim);
-    debug_assert_eq!(b.len(), kdim * n);
-    debug_assert_eq!(c.len(), m * n);
-    let mut k0 = 0;
-    while k0 < kdim {
-        let kend = (k0 + KC).min(kdim);
-        let mut i0 = 0;
-        while i0 < m {
-            let mr = MR_BLOCKED.min(m - i0);
-            let mut j0 = 0;
-            while j0 < n {
-                let nr = NR.min(n - j0);
-                if mr == MR_BLOCKED && nr == NR {
-                    kernel_4x8(a, b, c, kdim, n, i0, j0, k0, kend);
-                } else {
-                    kernel_edge(a, b, c, kdim, n, i0, j0, k0, kend, mr, nr);
-                }
-                j0 += NR;
-            }
-            i0 += MR_BLOCKED;
-        }
-        k0 = kend;
-    }
-}
-
-/// The scalar `4×8` register microkernel over unpacked operands:
-/// `C[i0..i0+4, j0..j0+8] += A[i0..i0+4, k0..kend] · B[k0..kend, j0..j0+8]`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn kernel_4x8(
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    lda: usize,
-    ldb: usize,
-    i0: usize,
-    j0: usize,
-    k0: usize,
-    kend: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR_BLOCKED];
-    let a0 = &a[i0 * lda + k0..i0 * lda + kend];
-    let a1 = &a[(i0 + 1) * lda + k0..(i0 + 1) * lda + kend];
-    let a2 = &a[(i0 + 2) * lda + k0..(i0 + 2) * lda + kend];
-    let a3 = &a[(i0 + 3) * lda + k0..(i0 + 3) * lda + kend];
-    // Zipped exact-length iterators: the compiler drops all bounds checks
-    // from the A reads; only the B panel row needs one slice per step.
-    for (d, ((&x0, &x1), (&x2, &x3))) in a0.iter().zip(a1).zip(a2.iter().zip(a3)).enumerate() {
-        let kk = k0 + d;
-        let bk: &[f64; NR] = b[kk * ldb + j0..kk * ldb + j0 + NR]
-            .try_into()
-            .expect("NR-wide panel row");
-        for t in 0..NR {
-            let bv = bk[t];
-            acc[0][t] += x0 * bv;
-            acc[1][t] += x1 * bv;
-            acc[2][t] += x2 * bv;
-            acc[3][t] += x3 * bv;
-        }
-    }
-    for (r, acc_r) in acc.iter().enumerate() {
-        let crow = &mut c[(i0 + r) * ldb + j0..(i0 + r) * ldb + j0 + NR];
-        for t in 0..NR {
-            crow[t] += acc_r[t];
-        }
-    }
-}
-
-/// Remainder tiles (fewer than `MR` rows or `NR` columns): a plain `ikj`
-/// loop over the tile, which the compiler still vectorizes along `j`.
-/// Unconditional accumulation — no skip of explicit zeros: the branch
-/// would defeat vectorization of the `j` loop and silently drop
-/// `-0.0`/NaN propagation (the sparse-aware skip lives only in the
-/// [`matmul_ikj_into`] baseline, where it is the point).
-#[allow(clippy::too_many_arguments)]
-fn kernel_edge(
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    lda: usize,
-    ldb: usize,
-    i0: usize,
-    j0: usize,
-    k0: usize,
-    kend: usize,
-    mr: usize,
-    nr: usize,
-) {
-    for i in i0..i0 + mr {
-        let arow = &a[i * lda..(i + 1) * lda];
-        let crow = &mut c[i * ldb + j0..i * ldb + j0 + nr];
-        for kk in k0..kend {
-            let aik = arow[kk];
-            let brow = &b[kk * ldb + j0..kk * ldb + j0 + nr];
-            for t in 0..nr {
-                crow[t] += aik * brow[t];
-            }
-        }
-    }
-}
-
-/// The seed's unblocked `ikj` GEMM, kept as the benchmark baseline the
-/// blocked kernel is measured against (`benches/kernels.rs`).
-pub fn matmul_ikj(a: &Mat, b: &Mat) -> Mat {
-    let mut c = Mat::zeros(a.nrows(), b.ncols());
-    matmul_ikj_into(a, b, &mut c);
-    c
-}
-
-/// `C = A·B` with the unblocked `ikj` loop (baseline; see [`matmul_ikj`]).
-/// Skips explicit zeros in `A` — this baseline doubles as the
-/// sparse-aware reference, where the skip is the optimization.
-pub fn matmul_ikj_into(a: &Mat, b: &Mat, c: &mut Mat) {
-    assert_eq!(a.ncols(), b.nrows(), "matmul inner dimension mismatch");
-    assert_eq!(
-        c.shape(),
-        (a.nrows(), b.ncols()),
-        "matmul output shape mismatch"
-    );
-    c.as_mut_slice().fill(0.0);
-    let n = b.ncols();
-    for i in 0..a.nrows() {
-        let arow = a.row(i);
-        let crow = c.row_mut(i);
-        for (kk, &aik) in arow.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &b.as_slice()[kk * n..(kk + 1) * n];
-            axpy(aik, brow, crow);
-        }
-    }
-}
-
 /// `C = Aᵀ·B`, allocating the output. `A` is `m×k`, `B` is `m×n`, `C` is `k×n`.
 pub fn matmul_ta(a: &Mat, b: &Mat) -> Mat {
     let mut c = Mat::zeros(a.ncols(), b.ncols());
@@ -408,59 +237,6 @@ pub fn matmul_ta_into(a: &Mat, b: &Mat, c: &mut Mat) {
             &mut scratch.bpack,
         );
     });
-}
-
-/// `C = Aᵀ·B` with the retained scalar rank-1 sweep (four sample rows
-/// per pass). Benchmark baseline for the packed transposed path; see
-/// [`matmul_ta_into`] for the production kernel.
-pub fn matmul_ta_blocked_into(a: &Mat, b: &Mat, c: &mut Mat) {
-    assert_eq!(a.nrows(), b.nrows(), "matmul_ta inner dimension mismatch");
-    assert_eq!(
-        c.shape(),
-        (a.ncols(), b.ncols()),
-        "matmul_ta output shape mismatch"
-    );
-    c.as_mut_slice().fill(0.0);
-    let m = a.nrows();
-    let k = a.ncols();
-    let n = b.ncols();
-    let cm = c.as_mut_slice();
-    let m4 = m - m % 4;
-    let mut r = 0;
-    while r < m4 {
-        let a0 = a.row(r);
-        let a1 = a.row(r + 1);
-        let a2 = a.row(r + 2);
-        let a3 = a.row(r + 3);
-        let b0 = b.row(r);
-        let b1 = b.row(r + 1);
-        let b2 = b.row(r + 2);
-        let b3 = b.row(r + 3);
-        for j in 0..k {
-            let (x0, x1, x2, x3) = (a0[j], a1[j], a2[j], a3[j]);
-            if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
-                continue;
-            }
-            let crow = &mut cm[j * n..(j + 1) * n];
-            for t in 0..n {
-                crow[t] += x0 * b0[t] + x1 * b1[t] + x2 * b2[t] + x3 * b3[t];
-            }
-        }
-        r += 4;
-    }
-    // Remainder samples: plain rank-1 accumulation.
-    for rr in m4..m {
-        let arow = a.row(rr);
-        let brow = b.row(rr);
-        for j in 0..k {
-            let ajr = arow[j];
-            if ajr == 0.0 {
-                continue;
-            }
-            let crow = &mut cm[j * n..(j + 1) * n];
-            axpy(ajr, brow, crow);
-        }
-    }
 }
 
 /// `C = A·Bᵀ`, allocating the output. `A` is `m×n`, `B` is `k×n`, `C` is `m×k`.
@@ -527,7 +303,9 @@ pub fn matmul_par_into(a: &Mat, b: &Mat, c: &mut Mat) {
     if m == 0 || n == 0 {
         return; // empty output; chunking by stripe * n would be ill-formed
     }
-    let stripe = m.div_ceil(rayon::current_num_threads()).max(MR_BLOCKED);
+    // At least four rows per worker, so a stripe is never a sliver.
+    const MIN_STRIPE: usize = 4;
+    let stripe = m.div_ceil(rayon::current_num_threads()).max(MIN_STRIPE);
     let aslice = a.as_slice();
     let bslice = b.as_slice();
     c.as_mut_slice()
@@ -662,12 +440,6 @@ mod tests {
                 c.max_abs_diff(&expect) < 1e-10,
                 "dispatched GEMM wrong at {m}x{kk}x{n}"
             );
-            let mut cb = Mat::zeros(m, n);
-            matmul_blocked_into(&a, &b, &mut cb);
-            assert!(
-                cb.max_abs_diff(&expect) < 1e-10,
-                "blocked GEMM wrong at {m}x{kk}x{n}"
-            );
         }
     }
 
@@ -687,13 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_ikj_baseline() {
-        let a = Mat::uniform(50, 70, 1);
-        let b = Mat::uniform(70, 23, 2);
-        assert!(matmul(&a, &b).max_abs_diff(&matmul_ikj(&a, &b)) < 1e-12);
-    }
-
-    #[test]
     fn matmul_ta_matches_explicit_transpose() {
         for &(m, k, n) in &[
             (23usize, 7usize, 11usize),
@@ -709,12 +474,6 @@ mod tests {
             assert!(
                 c.max_abs_diff(&expect) < 1e-12,
                 "matmul_ta wrong at {m}x{k}x{n}"
-            );
-            let mut cb = Mat::zeros(k, n);
-            matmul_ta_blocked_into(&a, &b, &mut cb);
-            assert!(
-                cb.max_abs_diff(&expect) < 1e-12,
-                "matmul_ta baseline wrong at {m}x{k}x{n}"
             );
             let p = PackedPanels::pack_transposed(&a);
             let mut cp = Mat::zeros(k, n);
@@ -767,9 +526,6 @@ mod tests {
         matmul_into(&a, &b, &mut c);
         assert!(c.all_finite());
         assert!(c.max_abs_diff(&naive_matmul(&a, &b)) < 1e-12);
-        // Reuse the same buffer for a second product.
-        matmul_ikj_into(&a, &b, &mut c);
-        assert!(c.max_abs_diff(&naive_matmul(&a, &b)) < 1e-12);
     }
 
     #[test]
@@ -811,7 +567,7 @@ mod tests {
 
     #[test]
     fn negative_zero_and_nan_propagate_through_edge_tiles() {
-        // The edge kernel must not skip explicit zeros: a NaN in B must
+        // The edge tiles must not skip explicit zeros: a NaN in B must
         // poison the product even when the matching A entry is 0.0.
         let mut a = Mat::zeros(3, 2); // 3 rows → edge tile under both MRs
         a[(0, 0)] = 0.0;
@@ -819,11 +575,8 @@ mod tests {
         let mut b = Mat::zeros(2, 3); // 3 cols → NR edge tile
         b[(0, 0)] = f64::NAN;
         b[(1, 1)] = 2.0;
-        let mut c = Mat::zeros(3, 3);
-        matmul_blocked_into(&a, &b, &mut c);
+        let c = matmul(&a, &b);
         assert!(c[(0, 0)].is_nan(), "0.0·NaN must propagate, not be skipped");
         assert_eq!(c[(0, 1)], 2.0);
-        let c2 = matmul(&a, &b);
-        assert!(c2[(0, 0)].is_nan());
     }
 }

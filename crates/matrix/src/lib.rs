@@ -39,13 +39,11 @@ pub mod rng;
 pub mod simd;
 
 pub use chol::{
-    cholesky, cholesky_into, cholesky_solve, cholesky_solve_in_place,
-    cholesky_solve_percol_in_place, solve_spd, CholError,
+    cholesky, cholesky_into, cholesky_solve, cholesky_solve_in_place, solve_spd, CholError,
 };
 pub use gemm::{
-    matmul, matmul_blocked_into, matmul_ikj, matmul_ikj_into, matmul_into, matmul_packed_into,
-    matmul_packed_scratch_into, matmul_par, matmul_par_into, matmul_ta, matmul_ta_blocked_into,
-    matmul_ta_into, matmul_tb, matmul_tb_into,
+    matmul, matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_par,
+    matmul_par_into, matmul_ta, matmul_ta_into, matmul_tb, matmul_tb_into,
 };
 pub use gram::{gram, gram_into, outer_gram, outer_gram_into};
 pub use mat::Mat;

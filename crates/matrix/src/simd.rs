@@ -65,10 +65,41 @@ pub struct KernelCfg {
 
 static ACTIVE: OnceLock<KernelCfg> = OnceLock::new();
 
+/// Whether `NMF_FORCE_SCALAR` is set to something other than empty or
+/// `0`. On Unix this reads the variable in place through libc's
+/// `getenv`: `std::env::var` would allocate the value's `String`, and
+/// that one allocation would land inside the first factorization of a
+/// process, breaking the allocation-count invariant that
+/// `crates/core/tests/alloc_steady_state.rs` checks under forced-scalar
+/// dispatch.
+fn forced_scalar() -> bool {
+    #[cfg(unix)]
+    {
+        use std::ffi::{c_char, CStr};
+        extern "C" {
+            fn getenv(name: *const c_char) -> *const c_char;
+        }
+        // SAFETY: the name is a NUL-terminated literal. A non-null result
+        // points at a NUL-terminated string in the environment block,
+        // read immediately; nothing in the workspace changes the
+        // environment while kernels run (the one `set_var`, in
+        // `tests/forced_scalar.rs`, precedes that test's first kernel call).
+        let value = unsafe { getenv(c"NMF_FORCE_SCALAR".as_ptr()) };
+        if value.is_null() {
+            return false;
+        }
+        // SAFETY: `value` is non-null and NUL-terminated (see above).
+        let v = unsafe { CStr::from_ptr(value) }.to_bytes();
+        !v.is_empty() && v != b"0"
+    }
+    #[cfg(not(unix))]
+    {
+        std::env::var("NMF_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0")
+    }
+}
+
 fn detect() -> KernelCfg {
-    let forced_scalar = std::env::var("NMF_FORCE_SCALAR")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
+    let forced_scalar = forced_scalar();
     #[cfg(target_arch = "x86_64")]
     {
         if !forced_scalar && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {

@@ -40,9 +40,6 @@ use std::collections::HashMap;
 /// Block-principal-pivoting solver.
 #[derive(Clone, Debug)]
 pub struct Bpp {
-    /// Solve rows sharing a passive set with one factorization
-    /// (ablation switch; `true` is the paper's configuration).
-    pub group_columns: bool,
     /// Safety cap on exchange rounds; `3k` + slack always suffices in
     /// practice, and the cap guards against cycling under severe
     /// ill-conditioning.
@@ -52,14 +49,13 @@ pub struct Bpp {
     pub backup_budget: u32,
     /// Reused solver state (buffers only — carries no information
     /// between calls). Public so struct-update construction
-    /// (`Bpp { group_columns: .., ..Bpp::default() }`) keeps working.
+    /// (`Bpp { max_rounds: .., ..Bpp::default() }`) keeps working.
     pub scratch: BppScratch,
 }
 
 impl Default for Bpp {
     fn default() -> Self {
         Bpp {
-            group_columns: true,
             max_rounds: 1000,
             backup_budget: 3,
             scratch: BppScratch::default(),
@@ -220,48 +216,37 @@ impl Bpp {
             }
 
             // Phase 2: solve the unconstrained systems on the passive
-            // sets and refresh x, y.
-            if self.group_columns {
-                // Group rows by passive set, recycling the row-index
-                // vectors and the map's buckets.
-                scr.group_of.clear();
-                scr.n_groups = 0;
-                for (i, st) in scr.states.iter().enumerate() {
-                    if st.done {
-                        continue;
+            // sets and refresh x, y. Group rows by passive set, recycling
+            // the row-index vectors and the map's buckets.
+            scr.group_of.clear();
+            scr.n_groups = 0;
+            for (i, st) in scr.states.iter().enumerate() {
+                if st.done {
+                    continue;
+                }
+                let gi = *scr.group_of.entry(st.passive).or_insert_with(|| {
+                    let gi = scr.n_groups;
+                    scr.n_groups += 1;
+                    if scr.group_rows.len() < scr.n_groups {
+                        scr.group_rows.push(Vec::new());
+                        scr.group_masks.push(0);
                     }
-                    let gi = *scr.group_of.entry(st.passive).or_insert_with(|| {
-                        let gi = scr.n_groups;
-                        scr.n_groups += 1;
-                        if scr.group_rows.len() < scr.n_groups {
-                            scr.group_rows.push(Vec::new());
-                            scr.group_masks.push(0);
-                        }
-                        scr.group_rows[gi].clear();
-                        scr.group_masks[gi] = st.passive;
-                        gi
-                    });
-                    scr.group_rows[gi].push(i);
-                }
-                for gi in 0..scr.n_groups {
-                    solve_support(
-                        gram,
-                        ctb,
-                        x,
-                        &mut scr.y,
-                        scr.group_masks[gi],
-                        &scr.group_rows[gi],
-                        &mut scr.support,
-                    );
-                }
-            } else {
-                // One factorization per row (ablation baseline).
-                for i in 0..r {
-                    if !scr.states[i].done {
-                        let mask = scr.states[i].passive;
-                        solve_support(gram, ctb, x, &mut scr.y, mask, &[i], &mut scr.support);
-                    }
-                }
+                    scr.group_rows[gi].clear();
+                    scr.group_masks[gi] = st.passive;
+                    gi
+                });
+                scr.group_rows[gi].push(i);
+            }
+            for gi in 0..scr.n_groups {
+                solve_support(
+                    gram,
+                    ctb,
+                    x,
+                    &mut scr.y,
+                    scr.group_masks[gi],
+                    &scr.group_rows[gi],
+                    &mut scr.support,
+                );
             }
         }
         // Round cap hit: keep the best-effort solution but make it
@@ -372,12 +357,14 @@ mod tests {
 
     #[test]
     fn matches_exhaustive_reference() {
-        for seed in 0..20 {
-            let k = 2 + (seed as usize % 5); // k in 2..=6
-            let (g, ctb) = instance(k, 4, 100 + seed);
-            let mut x = Mat::zeros(4, k);
+        // Twenty small instances (k in 2..=6, 4 rows), plus an 8×50 one
+        // with enough rows to exercise the passive-set grouping.
+        let small = (0..20u64).map(|seed| (2 + (seed as usize % 5), 4, 100 + seed));
+        for (k, r, seed) in small.chain([(8, 50, 11)]) {
+            let (g, ctb) = instance(k, r, seed);
+            let mut x = Mat::zeros(r, k);
             Bpp::default().solve(&g, &ctb, &mut x);
-            for i in 0..4 {
+            for i in 0..r {
                 let expect = exhaustive_nnls(&g, ctb.row(i));
                 for j in 0..k {
                     assert!(
@@ -410,24 +397,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn grouping_matches_rowwise() {
-        let (g, ctb) = instance(8, 50, 11);
-        let mut x_grouped = Mat::zeros(50, 8);
-        let mut x_rowwise = Mat::zeros(50, 8);
-        Bpp {
-            group_columns: true,
-            ..Bpp::default()
-        }
-        .solve(&g, &ctb, &mut x_grouped);
-        Bpp {
-            group_columns: false,
-            ..Bpp::default()
-        }
-        .solve(&g, &ctb, &mut x_rowwise);
-        assert!(x_grouped.max_abs_diff(&x_rowwise) < 1e-9);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! response frame, and converts `Response::Error` back into the typed
 //! [`ServeError`] (branch on [`ServeError::code`]). The client is
 //! synchronous and owns its transport — run one per thread for
-//! concurrent tenants, as the load generator does.
+//! concurrent tenants, as `tests/unix_socket.rs` does.
 
 use crate::error::ServeError;
 use crate::protocol::{JobSource, JobSpec, JobStatus, Request, Response, TenantReport};

@@ -29,13 +29,15 @@ fn small_spec(seed: u64) -> JobSpec {
 }
 
 #[test]
-fn three_tenants_over_a_unix_socket_with_clean_shutdown() {
+fn eight_tenants_over_a_unix_socket_with_clean_shutdown() {
     let path = sock_path("smoke");
     let listener = UnixSocketListener::bind(&path).expect("bind");
     let server = Server::new(ServerConfig::default());
     let core = std::thread::spawn(move || server.run(Box::new(listener)).expect("serve"));
 
-    let tenants = ["alpha", "beta", "gamma"];
+    let tenants = [
+        "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
+    ];
     let handles: Vec<_> = tenants
         .iter()
         .enumerate()
@@ -55,22 +57,32 @@ fn three_tenants_over_a_unix_socket_with_clean_shutdown() {
                 assert_eq!(h.shape(), (3, 10));
                 let report = client.tenant_stats(&tenant).expect("stats");
                 assert_eq!(report.jobs_finished, 1);
+                let steps = report.steps_completed;
                 // Release and confirm the bytes come back.
                 client.cancel(&tenant, job).expect("release");
                 let report = client.tenant_stats(&tenant).expect("stats");
                 assert_eq!(report.resident_bytes, 0);
+                steps
             })
         })
         .collect();
-    for h in handles {
-        h.join().expect("tenant thread");
-    }
+    let steps: Vec<u64> = handles
+        .into_iter()
+        .map(|h| h.join().expect("tenant thread"))
+        .collect();
+    // Fairness: the round-robin scheduler keeps every tenant within 2×
+    // of the slowest one's completed steps.
+    let (min, max) = (steps.iter().min().unwrap(), steps.iter().max().unwrap());
+    assert!(
+        *min > 0 && *max <= 2 * *min,
+        "fairness spread above 2x: {steps:?}"
+    );
 
     let mut client = Client::new(Box::new(UnixTransport::connect(&path).expect("connect")));
     client.shutdown().expect("shutdown");
     let stats = core.join().expect("core thread");
-    assert_eq!(stats.connections, 4, "3 tenants + the shutdown client");
-    assert_eq!(stats.jobs_finished, 3);
+    assert_eq!(stats.connections, 9, "8 tenants + the shutdown client");
+    assert_eq!(stats.jobs_finished, 8);
     assert!(!path.exists(), "socket file removed on shutdown");
 }
 

@@ -87,9 +87,11 @@ fn grid_run(
 fn overlapped_and_sync_factors_are_bit_identical() {
     let input = test_input(37, 29, 3);
     let cfg = config();
-    // Pow2, prime, degenerate-1D, and ragged non-pow2 grids.
+    // Pow2 (p = 4 and p = 16), prime, degenerate-1D, and ragged
+    // non-pow2 grids.
     for grid in [
         Grid::new(2, 2),
+        Grid::new(4, 4),
         Grid::new(1, 3),
         Grid::new(4, 1),
         Grid::new(3, 2),
@@ -236,9 +238,9 @@ fn tmp_ckpt(tag: &str) -> PathBuf {
 }
 
 /// Durable checkpoints written mid-run under the overlapped schedule
-/// resume bit-identically for all three schemes (the sequential and
-/// naive schemes take the defaulted synchronous hooks; HPC runs fully
-/// split-phase).
+/// resume bit-identically for all three schemes (the sequential scheme
+/// communicates nothing and the naive scheme completes its blocking
+/// gathers inside its post hooks; HPC runs fully split-phase).
 #[test]
 fn disk_checkpoint_resume_through_overlapped_schedule_all_schemes() {
     let input = test_input(34, 26, 19);
