@@ -1,4 +1,4 @@
-//! Configuration and result types shared by all NMF drivers.
+//! Configuration and result types shared by all three NMF algorithms.
 
 use nmf_matrix::rng::random_factor;
 use nmf_matrix::Mat;
@@ -163,7 +163,7 @@ pub struct NmfConfig {
     /// Local NLS solver.
     pub solver: SolverKind,
     /// Seed for the factor initialization. The same seed produces the
-    /// same initial `H` (and `W`) in every driver — sequential, naive,
+    /// same initial `H` (and `W`) in every algorithm — sequential, naive,
     /// and HPC — which is the paper's §6.1.3 protocol for making the
     /// algorithms perform identical computations.
     pub seed: u64,
@@ -267,8 +267,8 @@ pub fn apply_ridge(gram: &mut Mat, lambda: f64) {
 }
 
 /// The deterministic global initialization of `H`, stored transposed
-/// (`n×k`, row `j` holds column `j` of `H`). Every driver slices this
-/// same matrix, so iterates agree across drivers and processor counts.
+/// (`n×k`, row `j` holds column `j` of `H`). Every scheme slices this
+/// same matrix, so iterates agree across algorithms and processor counts.
 pub fn init_ht(n: usize, k: usize, seed: u64) -> Mat {
     random_factor(n, k, k, seed ^ 0x48)
 }

@@ -1,4 +1,4 @@
-//! The step-wise ANLS engine: one iteration loop behind all three drivers.
+//! The step-wise ANLS engine: one iteration loop behind all three algorithms.
 //!
 //! The paper's central observation is that Sequential (Algorithm 1),
 //! Naive-Parallel (Algorithm 2), and HPC-NMF (Algorithm 3) perform *the
@@ -15,8 +15,8 @@
 //! | [`Replicated1D`] | Algorithm 2 | all-gather whole factors, redundant Grams |
 //! | [`Grid2D`] | Algorithm 3 | Gram all-reduce + grid-dimension all-gather + reduce-scatter |
 //!
-//! Because the arithmetic is shared, the engine preserves the two
-//! hard-won properties of the drivers it replaced: **bit-identical
+//! Because the arithmetic is shared, the engine keeps two properties
+//! across all three schemes: **bit-identical
 //! iterate trajectories** across schemes and processor counts (the same
 //! kernels run in the same order on the same operands), and the
 //! **zero-allocation steady state** (every per-iteration matrix lives in
@@ -25,9 +25,8 @@
 //!
 //! ## Step-wise execution
 //!
-//! Unlike the seed's run-to-completion drivers, the engine is a
-//! resumable iterator: [`step`](AnlsEngine::step) executes exactly one
-//! outer iteration and returns its [`IterRecord`];
+//! The engine is a resumable iterator: [`step`](AnlsEngine::step)
+//! executes exactly one outer iteration and returns its [`IterRecord`];
 //! [`factors`](AnlsEngine::factors) exposes the current iterates
 //! mid-run (for checkpointing, streaming consumers, or serving partially
 //! converged factors); a fresh engine started from exported factors
@@ -48,13 +47,10 @@
 //! folded into the objective all-reduce as a flag summed across ranks,
 //! so one slow rank stops everyone.
 
-use crate::config::{
-    apply_ridge, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason, TaskTimes,
-};
+use crate::config::{apply_ridge, ConvergencePolicy, IterRecord, NmfConfig, StopReason, TaskTimes};
 use crate::dist::{Dist1D, Part};
 use crate::grid::Grid;
-use crate::input::{Input, LocalMat};
-use crate::naive::RankNmfOutput;
+use crate::input::LocalMat;
 use crate::workspace::{IterWorkspace, SessionPack};
 use nmf_matrix::gram::gram_into;
 use nmf_matrix::Mat;
@@ -66,9 +62,10 @@ use std::time::{Duration, Instant};
 /// The data-matrix kernels an ANLS iteration needs. The data matrix
 /// enters the algorithm only through these two products (plus its norm),
 /// exactly as in the paper ("the data matrix itself is never
-/// communicated"); implementations exist for the global [`Input`]
-/// (sequential), a single distributed block [`LocalMat`] (HPC-NMF), and
-/// the doubly-stored [`SplitBlocks`] of the naive algorithm.
+/// communicated"); implementations exist for a single block
+/// [`LocalMat`] (the whole matrix under [`LocalScheme`], one `Aᵢⱼ`
+/// under [`Grid2D`]) and the doubly-stored [`SplitBlocks`] of the naive
+/// algorithm.
 pub trait AnlsData {
     /// Packs this rank's dense data into microkernel-ready panels
     /// ([`SessionPack`]) — called once at engine construction, so every
@@ -86,24 +83,6 @@ pub trait AnlsData {
     /// This rank's contribution to `‖A‖²_F`, each entry counted exactly
     /// once across all ranks.
     fn norm_sq_contrib(&self) -> f64;
-}
-
-impl AnlsData for &Input {
-    fn pack_session(&self, pack: &mut SessionPack, k: usize) {
-        Input::pack_session(self, pack, k);
-    }
-
-    fn mm_a_ht_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
-        Input::mm_a_ht_packed_into(self, pack, ht, out);
-    }
-
-    fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
-        Input::mm_at_w_packed_into(self, pack, w, out);
-    }
-
-    fn norm_sq_contrib(&self) -> f64 {
-        self.fro_norm_sq()
-    }
 }
 
 impl AnlsData for &LocalMat {
@@ -583,21 +562,6 @@ impl<'c> Grid2D<'c> {
             }
         });
     }
-
-    /// Expected shape of this rank's `Aᵢⱼ` block.
-    pub fn block_shape(&self) -> (usize, usize) {
-        (self.rows.len, self.cols.len)
-    }
-
-    /// Expected shape of this rank's `(Wᵢ)ⱼ` slice.
-    pub fn w_shape(&self) -> (usize, usize) {
-        (self.w_sub.len, self.k)
-    }
-
-    /// Expected shape of this rank's `(Hⱼ)ᵢ` slice (stored transposed).
-    pub fn ht_shape(&self) -> (usize, usize) {
-        (self.ht_sub.len, self.k)
-    }
 }
 
 impl CommScheme for Grid2D<'_> {
@@ -881,7 +845,7 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
     /// [`AnlsEngine::new`] with a caller-provided workspace (resized to
     /// fit if its shapes differ) — the warm-restart path that skips even
     /// the setup allocations. Reclaim it afterwards with
-    /// [`into_rank_output_and_workspace`](Self::into_rank_output_and_workspace).
+    /// [`EngineDyn::take_workspace`].
     pub fn with_workspace(
         scheme: S,
         data: D,
@@ -1168,42 +1132,6 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
         self.prior_elapsed = state.elapsed;
         self.started = Instant::now();
     }
-
-    /// Finishes a per-rank run: the rank output plus the workspace, for
-    /// callers that reuse the workspace across factorizations.
-    pub fn into_rank_output_and_workspace(mut self) -> (RankNmfOutput, IterWorkspace) {
-        let objective = self.objective();
-        let out = RankNmfOutput {
-            w_local: self.w_local,
-            ht_local: self.ht_local,
-            objective,
-            stop: self.stop.unwrap_or(StopReason::MaxIters),
-            iters: self.iters,
-        };
-        (out, std::mem::take(&mut self.ws))
-    }
-
-    /// Finishes a per-rank run.
-    pub fn into_rank_output(self) -> RankNmfOutput {
-        self.into_rank_output_and_workspace().0
-    }
-
-    /// Finishes a run whose factors are global (i.e. [`LocalScheme`]):
-    /// assembles the full [`NmfOutput`].
-    pub fn into_output(self) -> NmfOutput {
-        let objective = self.objective();
-        let norm_a_sq = self.norm_a_sq;
-        NmfOutput {
-            w: self.w_local,
-            h: self.ht_local.transpose(),
-            objective,
-            rel_error: objective.max(0.0).sqrt() / norm_a_sq.sqrt().max(f64::MIN_POSITIVE),
-            iterations: self.iters.len(),
-            stop: self.stop.unwrap_or(StopReason::MaxIters),
-            iters: self.iters,
-            rank_comm: Vec::new(),
-        }
-    }
 }
 
 /// The object-safe face of [`AnlsEngine`]: everything the session layer
@@ -1301,7 +1229,7 @@ mod tests {
 
     #[test]
     fn engine_dyn_erases_the_scheme() {
-        let input = Input::Dense(Mat::uniform(18, 12, 3));
+        let input = LocalMat::Dense(Mat::uniform(18, 12, 3));
         let config = NmfConfig::new(2).with_max_iters(3).with_seed(8);
         let w0 = crate::config::init_w(18, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
@@ -1325,7 +1253,7 @@ mod tests {
 
     #[test]
     fn local_scheme_runs_and_reports() {
-        let input = Input::Dense(Mat::uniform(20, 14, 5));
+        let input = LocalMat::Dense(Mat::uniform(20, 14, 5));
         let config = NmfConfig::new(3).with_max_iters(4).with_seed(2);
         let w0 = crate::config::init_w(20, 3, config.seed);
         let ht0 = crate::config::init_ht(14, 3, config.seed);
@@ -1339,14 +1267,11 @@ mod tests {
         assert_eq!(e.iterations(), 4);
         let (w, ht) = e.factors();
         assert!(w.all_nonnegative() && ht.all_nonnegative());
-        let out = e.into_output();
-        assert_eq!(out.iterations, 4);
-        assert_eq!(out.stop, StopReason::MaxIters);
     }
 
     #[test]
     fn observer_sees_every_iteration() {
-        let input = Input::Dense(Mat::uniform(16, 12, 9));
+        let input = LocalMat::Dense(Mat::uniform(16, 12, 9));
         let config = NmfConfig::new(2).with_max_iters(5).with_seed(3);
         let w0 = crate::config::init_w(16, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
@@ -1363,7 +1288,7 @@ mod tests {
 
     #[test]
     fn budget_zero_stops_after_one_iteration() {
-        let input = Input::Dense(Mat::uniform(18, 12, 4));
+        let input = LocalMat::Dense(Mat::uniform(18, 12, 4));
         let config = NmfConfig::new(2).with_max_iters(50).with_convergence(
             ConvergencePolicy::WindowedBudget {
                 window: 5,
@@ -1385,7 +1310,7 @@ mod tests {
 
     #[test]
     fn infinite_window_tolerance_stops_at_window_plus_one() {
-        let input = Input::Dense(Mat::uniform(18, 12, 4));
+        let input = LocalMat::Dense(Mat::uniform(18, 12, 4));
         let config = NmfConfig::new(2).with_max_iters(50).with_convergence(
             ConvergencePolicy::WindowedBudget {
                 window: 3,
@@ -1407,7 +1332,7 @@ mod tests {
 
     #[test]
     fn convergence_state_round_trips() {
-        let input = Input::Dense(Mat::uniform(16, 10, 6));
+        let input = LocalMat::Dense(Mat::uniform(16, 10, 6));
         let config = NmfConfig::new(2).with_max_iters(6).with_seed(4);
         let w0 = crate::config::init_w(16, 2, config.seed);
         let ht0 = crate::config::init_ht(10, 2, config.seed);

@@ -8,10 +8,10 @@
 //! grid mismatch lists the grids that do divide the requested rank
 //! count).
 //!
-//! The legacy [`factorize`](crate::harness::factorize) wrappers keep
-//! their historical panic behaviour by construction: they build through
-//! [`NmfBuilder`](crate::session::NmfBuilder) and panic on `Err`, so the
-//! validation logic exists exactly once.
+//! The single [`factorize`](crate::harness::factorize) wrapper panics
+//! by construction: it builds through
+//! [`NmfBuilder`](crate::session::NmfBuilder) and panics on `Err`, so
+//! the validation logic exists exactly once.
 
 use crate::grid::Grid;
 use nmf_nls::SolverKind;

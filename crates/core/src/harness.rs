@@ -1,21 +1,19 @@
 //! Batch front-end: run any algorithm to completion on a shared input.
 //!
-//! Since the session API landed, this module is a thin compatibility
-//! wrapper: [`factorize`] builds a [`Model`](crate::session::Model)
-//! through [`Nmf`](crate::session::Nmf::on), runs it to its stopping
-//! condition, and assembles the classic [`NmfOutput`]. One-shot
-//! factorization is now a specialization of the resumable session, not
-//! the other way around — new code should prefer
+//! [`factorize`] is the one-call wrapper over the session: it builds a
+//! [`Model`](crate::session::Model) through
+//! [`Nmf`](crate::session::Nmf::on), runs it to its stopping condition,
+//! and assembles the classic [`NmfOutput`]. Code that needs warm starts,
+//! stepping, checkpoints or typed errors uses
 //! [`Nmf::on(..)`](crate::session::Nmf::on) directly, which reports
 //! invalid requests as [`NmfError`](crate::error::NmfError) values
-//! instead of this wrapper's historical panics.
+//! instead of this wrapper's panics.
 
 use crate::config::{NmfConfig, NmfOutput};
 use crate::grid::Grid;
 use crate::input::Input;
 use crate::session::Nmf;
 
-use nmf_matrix::Mat;
 use nmf_vmpi::CommStats;
 
 /// Which parallel algorithm (and grid) to run.
@@ -59,34 +57,11 @@ impl Algo {
     }
 }
 
-/// Runs `algo` on `p` ranks over `input` and returns assembled factors
-/// plus per-rank instrumentation.
+/// Runs `algo` on `p` ranks over `input` from the seeded initialization
+/// and returns assembled factors plus per-rank instrumentation. Panics
+/// on a request [`Nmf::on`] would reject; `p` is ignored for
+/// [`Algo::Sequential`].
 pub fn factorize(input: &Input, p: usize, algo: Algo, config: &NmfConfig) -> NmfOutput {
-    let (m, n) = input.shape();
-    let w0 = crate::config::init_w(m, config.k, config.seed);
-    let ht0 = crate::config::init_ht(n, config.k, config.seed);
-    factorize_from(input, p, algo, config, w0, ht0)
-}
-
-/// Like [`factorize`], but starting from explicit factors (warm start):
-/// `w0` is `m×k` and `ht0` is `n×k` (`H` transposed, row `j` = column
-/// `j` of `H`). Use this to refine a factorization after the data
-/// changes incrementally — e.g. appending frames to the video matrix —
-/// instead of re-solving from a random initialization.
-pub fn factorize_from(
-    input: &Input,
-    p: usize,
-    algo: Algo,
-    config: &NmfConfig,
-    w0: Mat,
-    ht0: Mat,
-) -> NmfOutput {
-    let (m, n) = input.shape();
-    // Historical panic contract, kept for source compatibility (the
-    // builder would report these as NmfError::WarmStartShape).
-    assert_eq!(w0.shape(), (m, config.k), "w0 shape mismatch");
-    assert_eq!(ht0.shape(), (n, config.k), "ht0 shape mismatch");
-    // The classic API ignored `p` for the sequential algorithm.
     let ranks = if matches!(algo, Algo::Sequential) {
         1
     } else {
@@ -96,7 +71,6 @@ pub fn factorize_from(
         .config(*config)
         .algo(algo)
         .ranks(ranks)
-        .warm_start(w0, ht0)
         .build()
         .unwrap_or_else(|e| panic!("invalid factorization request: {e}"));
     model.run();

@@ -1,18 +1,12 @@
 //! Input matrices: dense or sparse, global or per-rank local blocks.
 //!
-//! The parallel drivers are generic over density through [`LocalMat`]:
+//! The engine is generic over density through [`LocalMat`]:
 //! the two matrix-multiply kernels (`A·Hᵀ` and `Aᵀ·W`) are the only
 //! operations that touch the data matrix, exactly as in the paper
 //! ("the data matrix itself is never communicated").
 
-use crate::workspace::SessionPack;
-use nmf_matrix::{
-    matmul, matmul_into, matmul_packed_scratch_into, matmul_ta, matmul_ta_into, Mat, PackedPanels,
-};
-use nmf_sparse::{
-    spmm_at_dense, spmm_at_dense_auto, spmm_at_dense_auto_into, spmm_at_dense_into, spmm_dense_t,
-    spmm_dense_t_into, Csr, SpBlock,
-};
+use nmf_matrix::{matmul_into, matmul_packed_scratch_into, matmul_ta_into, Mat, PackedPanels};
+use nmf_sparse::{spmm_at_dense_auto_into, spmm_dense_t_into, Csr, SpBlock};
 
 /// A whole input matrix (held by the test/benchmark harness; in a real
 /// MPI deployment each rank would read only its block from disk).
@@ -67,73 +61,6 @@ impl Input {
             Input::Sparse(a) => LocalMat::Sparse(SpBlock::from_csr(a.block(r0, c0, nr, nc))),
         }
     }
-
-    /// `A·Hᵀ` with `Hᵀ` supplied as `ht` (`n×k`); output `m×k`.
-    pub fn mm_a_ht(&self, ht: &Mat) -> Mat {
-        match self {
-            Input::Dense(a) => matmul(a, ht),
-            Input::Sparse(a) => spmm_dense_t(a, ht),
-        }
-    }
-
-    /// `A·Hᵀ` into caller-owned `out` (the workspace path).
-    pub fn mm_a_ht_into(&self, ht: &Mat, out: &mut Mat) {
-        match self {
-            Input::Dense(a) => matmul_into(a, ht, out),
-            Input::Sparse(a) => spmm_dense_t_into(a, ht, out),
-        }
-    }
-
-    /// `Aᵀ·W` (`n×k`) for `w` of shape `m×k`.
-    pub fn mm_at_w(&self, w: &Mat) -> Mat {
-        match self {
-            Input::Dense(a) => matmul_ta(a, w),
-            Input::Sparse(a) => spmm_at_dense(a, w),
-        }
-    }
-
-    /// `Aᵀ·W` into caller-owned `out` (the workspace path).
-    pub fn mm_at_w_into(&self, w: &Mat, out: &mut Mat) {
-        match self {
-            Input::Dense(a) => matmul_ta_into(a, w, out),
-            Input::Sparse(a) => spmm_at_dense_into(a, w, out),
-        }
-    }
-
-    /// Builds the once-per-session [`SessionPack`]: dense inputs pack
-    /// both operand forms (`A` and `Aᵀ`) into microkernel panels and
-    /// pre-size the tile scratch for `·×k` right operands; sparse inputs
-    /// clear the pack (their `MM` kernels read the CSR directly).
-    pub fn pack_session(&self, pack: &mut SessionPack, k: usize) {
-        match self {
-            Input::Dense(a) => {
-                pack.a.pack_into(a);
-                pack.at.pack_transposed_into(a);
-            }
-            Input::Sparse(_) => pack.clear(),
-        }
-        pack.reserve_scratch(k);
-    }
-
-    /// [`mm_a_ht_into`](Input::mm_a_ht_into) reading the session-packed
-    /// `A` panels when present (falls back to pack-per-call if not).
-    pub fn mm_a_ht_packed_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
-        match self {
-            Input::Dense(a) if pack.a.is_empty() => matmul_into(a, ht, out),
-            Input::Dense(_) => matmul_packed_scratch_into(&pack.a, ht, out, &mut pack.bpack),
-            Input::Sparse(a) => spmm_dense_t_into(a, ht, out),
-        }
-    }
-
-    /// [`mm_at_w_into`](Input::mm_at_w_into) reading the session-packed
-    /// `Aᵀ` panels when present (falls back to pack-per-call if not).
-    pub fn mm_at_w_packed_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
-        match self {
-            Input::Dense(a) if pack.at.is_empty() => matmul_ta_into(a, w, out),
-            Input::Dense(_) => matmul_packed_scratch_into(&pack.at, w, out, &mut pack.bpack),
-            Input::Sparse(a) => spmm_at_dense_into(a, w, out),
-        }
-    }
 }
 
 /// One rank's block of the input matrix. Sparse blocks carry both the
@@ -176,41 +103,6 @@ impl LocalMat {
         }
     }
 
-    /// Local `A_loc·Hᵀ` (the `MM` task of the `W` update).
-    pub fn mm_a_ht(&self, ht: &Mat) -> Mat {
-        match self {
-            LocalMat::Dense(a) => matmul(a, ht),
-            LocalMat::Sparse(a) => spmm_dense_t(a.csr(), ht),
-        }
-    }
-
-    /// Local `A_loc·Hᵀ` into caller-owned `out` (the workspace path).
-    pub fn mm_a_ht_into(&self, ht: &Mat, out: &mut Mat) {
-        match self {
-            LocalMat::Dense(a) => matmul_into(a, ht, out),
-            LocalMat::Sparse(a) => spmm_dense_t_into(a.csr(), ht, out),
-        }
-    }
-
-    /// Local `A_locᵀ·W` (the `MM` task of the `H` update).
-    pub fn mm_at_w(&self, w: &Mat) -> Mat {
-        match self {
-            LocalMat::Dense(a) => matmul_ta(a, w),
-            LocalMat::Sparse(a) => spmm_at_dense_auto(a.csr(), a.csc(), w),
-        }
-    }
-
-    /// Local `A_locᵀ·W` into caller-owned `out` (the workspace path).
-    /// Sparse blocks dispatch by output size: column-forward off the
-    /// block's CSC view when `n_loc·k` outgrows the last-level cache,
-    /// the CSR transposed pass (bit-identical) otherwise.
-    pub fn mm_at_w_into(&self, w: &Mat, out: &mut Mat) {
-        match self {
-            LocalMat::Dense(a) => matmul_ta_into(a, w, out),
-            LocalMat::Sparse(a) => spmm_at_dense_auto_into(a.csr(), a.csc(), w, out),
-        }
-    }
-
     /// Packs this block into left-operand panels for `A_loc·Hᵀ` (dense;
     /// sparse blocks clear `p` — the CSR kernels need no packing).
     pub fn pack_a_into(&self, p: &mut PackedPanels) {
@@ -229,8 +121,9 @@ impl LocalMat {
         }
     }
 
-    /// [`mm_a_ht_into`](LocalMat::mm_a_ht_into) reading session-packed
-    /// panels when present (falls back to pack-per-call if not).
+    /// Local `A_loc·Hᵀ` into `out` (the `MM` task of the `W` update),
+    /// reading the session-packed panels `p` when present (dense blocks
+    /// fall back to pack-per-call if `p` is empty).
     pub fn mm_a_ht_packed_into(
         &self,
         p: &PackedPanels,
@@ -245,8 +138,12 @@ impl LocalMat {
         }
     }
 
-    /// [`mm_at_w_into`](LocalMat::mm_at_w_into) reading session-packed
-    /// transpose panels when present (falls back to pack-per-call if not).
+    /// Local `A_locᵀ·W` into `out` (the `MM` task of the `H` update),
+    /// reading the session-packed transpose panels `p` when present
+    /// (dense blocks fall back to pack-per-call if `p` is empty). Sparse
+    /// blocks dispatch by output size: column-forward off the block's
+    /// CSC view when `n_loc·k` outgrows the last-level cache, the CSR
+    /// transposed pass (bit-identical) otherwise.
     pub fn mm_at_w_packed_into(
         &self,
         p: &PackedPanels,
@@ -287,13 +184,28 @@ mod tests {
     #[test]
     fn dense_and_sparse_kernels_agree() {
         let s = banded(12, 2);
-        let d = s.to_dense();
-        let dense = Input::Dense(d.clone());
-        let sparse = Input::Sparse(s);
-        let ht = Mat::uniform(12, 4, 1);
-        assert!(dense.mm_a_ht(&ht).max_abs_diff(&sparse.mm_a_ht(&ht)) < 1e-12);
-        let w = Mat::uniform(12, 4, 2);
-        assert!(dense.mm_at_w(&w).max_abs_diff(&sparse.mm_at_w(&w)) < 1e-12);
+        let dense = Input::Dense(s.to_dense()).block(0, 0, 12, 12);
+        let sparse = LocalMat::Sparse(SpBlock::from_csr(s));
+        let (ht, w) = (Mat::uniform(12, 4, 1), Mat::uniform(12, 4, 2));
+        let mm = |a: &LocalMat, pa: &PackedPanels, pat: &PackedPanels| {
+            let (mut aht, mut atw) = (Mat::zeros(12, 4), Mat::zeros(12, 4));
+            let mut scratch = Vec::new();
+            a.mm_a_ht_packed_into(pa, &ht, &mut aht, &mut scratch);
+            a.mm_at_w_packed_into(pat, &w, &mut atw, &mut scratch);
+            (aht, atw)
+        };
+        let none = PackedPanels::default();
+        let (sp_aht, sp_atw) = mm(&sparse, &none, &none);
+        let (mut pa, mut pat) = (PackedPanels::default(), PackedPanels::default());
+        dense.pack_a_into(&mut pa);
+        dense.pack_at_into(&mut pat);
+        assert!(!pa.is_empty() && !pat.is_empty());
+        // Session-packed panels, then an empty pack (the fallback branch).
+        for (pa, pat) in [(&pa, &pat), (&none, &none)] {
+            let (aht, atw) = mm(&dense, pa, pat);
+            assert!(aht.max_abs_diff(&sp_aht) < 1e-12);
+            assert!(atw.max_abs_diff(&sp_atw) < 1e-12);
+        }
         assert_eq!(dense.fro_norm_sq(), sparse.fro_norm_sq());
     }
 

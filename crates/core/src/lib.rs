@@ -81,11 +81,12 @@
 //! [`engine::Grid2D`]). The [`Model`] erases those generics behind the
 //! object-safe [`engine::EngineDyn`] and owns the virtual-MPI universe
 //! (one thread per rank), so a handle outlives any borrow of the
-//! communicators.
+//! communicators. The session is the only way to run an algorithm.
 //!
-//! The classic batch entry point [`harness::factorize`] remains as a
-//! compatibility wrapper over the session (it panics on invalid input
-//! where the builder returns [`NmfError`]).
+//! The batch entry point [`harness::factorize`] is a one-call wrapper
+//! over the session: it builds from the seeded initialization, runs to
+//! the stopping condition, and panics on invalid input where the
+//! builder returns [`NmfError`].
 
 pub mod checkpoint;
 pub mod config;
@@ -94,11 +95,8 @@ pub mod engine;
 pub mod error;
 pub mod grid;
 pub mod harness;
-pub mod hpc;
 pub mod input;
-pub mod naive;
 pub mod regrid;
-pub mod seq;
 pub mod session;
 pub mod shared;
 pub mod workspace;
@@ -114,7 +112,7 @@ pub use engine::{
 };
 pub use error::NmfError;
 pub use grid::Grid;
-pub use harness::{factorize, factorize_from, total_comm, Algo};
+pub use harness::{factorize, total_comm, Algo};
 pub use input::{Input, LocalMat};
 pub use regrid::{fitting_grids, GlobalFactors, RegridTarget};
 pub use session::{Model, Nmf, NmfBuilder, ResumeBuilder, StepProgress};

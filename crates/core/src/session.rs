@@ -1250,8 +1250,8 @@ impl Model {
             iterations: iters.len(),
             stop: self.stop.unwrap_or(StopReason::MaxIters),
             iters,
-            // The sequential driver has no communicator; keep its
-            // historical "no per-rank stats" shape.
+            // The sequential scheme has no communicator, so it reports
+            // no per-rank stats.
             rank_comm: if matches!(self.algo, Algo::Sequential) {
                 Vec::new()
             } else {

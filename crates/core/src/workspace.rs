@@ -1,18 +1,38 @@
-//! Per-iteration workspaces for the NMF drivers.
+//! Per-iteration workspaces for the ANLS engine.
 //!
-//! Every ANLS outer iteration of every driver produces the same cast of
+//! Every ANLS outer iteration of every scheme produces the same cast of
 //! intermediate matrices — two `k×k` Grams and their globally-reduced
 //! and ridge-shifted copies, the assembled factor block, the `MM`
 //! products, and (for HPC-NMF) the reduce-scattered normal-equation
-//! right-hand sides. The seed implementation allocated each of these
-//! fresh every iteration; [`IterWorkspace`] owns them all, so a driver
-//! allocates exactly once before its loop and the steady-state iteration
-//! performs **zero heap allocations in the compute path** (the NLS
-//! solvers hold their own scratch the same way, and the `_into`
-//! collectives draw staging from the communicator arena).
+//! right-hand sides. [`IterWorkspace`] owns them all. One struct serves
+//! all three schemes; each scheme's `size_for_*` method sizes exactly
+//! the buffers it touches and leaves the rest `0×0`.
 //!
-//! One struct serves all three drivers; each constructor sizes exactly
-//! the buffers its driver touches and leaves the rest `0×0`.
+//! # Performance notes: the zero-allocation iteration loop
+//!
+//! The steady-state loop performs **no heap allocations in the compute
+//! path**. Three mechanisms combine to achieve that:
+//!
+//! 1. every per-iteration matrix — Grams, assembled factor blocks, `MM`
+//!    products, reduce-scatter outputs — lives in an [`IterWorkspace`]
+//!    allocated once before the loop and overwritten in place each
+//!    iteration ([`nmf_matrix::matmul_into`], `gram_into`,
+//!    `mm_a_ht_packed_into`, …);
+//! 2. the collectives are the `_into` variants
+//!    ([`Comm::all_reduce_into`](nmf_vmpi::Comm::all_reduce_into) & co.),
+//!    which write into those workspace buffers and draw their own round
+//!    staging from a per-rank arena inside the communicator;
+//! 3. the NLS solvers hold their pivoting state and factorization
+//!    buffers in solver-owned scratch reused across iterations.
+//!
+//! What still allocates: the one-time setup (sub-communicators, counts,
+//! workspace), the per-iteration `IterRecord` bookkeeping pushed onto the
+//! engine's record vector (instrumentation; `iters` is reserved with
+//! `max_iters` capacity up front), and the message boxes inside the
+//! channel transport (the "interconnect" — a real MPI would hand those
+//! to the NIC). `crates/core/tests/alloc_steady_state.rs` counts
+//! allocations to hold this; the repository benchmark (`nmfbench/`)
+//! tracks the resulting per-iteration times.
 
 use nmf_matrix::{Mat, PackedPanels};
 
@@ -48,12 +68,6 @@ impl SessionPack {
         self.a.is_empty() && self.at.is_empty()
     }
 
-    /// Drop any packed operands (retains allocations for reuse).
-    pub fn clear(&mut self) {
-        self.a.clear();
-        self.at.clear();
-    }
-
     /// Grow `bpack` to the bound both packed products need for a `·×k`
     /// right operand; afterwards steady-state GEMMs never resize it.
     pub fn reserve_scratch(&mut self, k: usize) {
@@ -69,7 +83,7 @@ impl SessionPack {
     }
 }
 
-/// Owned storage for every per-iteration matrix of an NMF driver.
+/// Owned storage for every per-iteration matrix of an ANLS engine.
 ///
 /// Field names follow the update in which the buffer is produced; the
 /// table maps them to the paper's Algorithm 1–3 symbols:
@@ -114,20 +128,19 @@ impl IterWorkspace {
         self.gram_local.resize(k, k);
     }
 
-    /// In-place (re)sizing for the sequential driver on an `m×n` input
+    /// In-place (re)sizing for the sequential scheme on an `m×n` input
     /// at rank `k`; a no-op when already sized. The single source of
-    /// truth for which buffers Algorithm 1 touches — used by both
-    /// [`for_seq`](Self::for_seq) and the engine's `LocalScheme`.
+    /// truth for which buffers Algorithm 1 touches (the engine's
+    /// `LocalScheme`).
     pub fn size_for_seq(&mut self, m: usize, n: usize, k: usize) {
         self.size_grams(k);
         self.mm_w.resize(m, k);
         self.mm_h.resize(n, k);
     }
 
-    /// In-place (re)sizing for one rank of the naive driver: `m×n`
+    /// In-place (re)sizing for one rank of the naive scheme: `m×n`
     /// global dims, `rows`/`cols` this rank's row-block height and
-    /// column-block width. Used by both [`for_naive`](Self::for_naive)
-    /// and the engine's `Replicated1D`.
+    /// column-block width (the engine's `Replicated1D`).
     pub fn size_for_naive(&mut self, m: usize, n: usize, rows: usize, cols: usize, k: usize) {
         self.size_grams(k);
         self.ht_gather.resize(n, k);
@@ -139,8 +152,7 @@ impl IterWorkspace {
     /// In-place (re)sizing for one rank of HPC-NMF:
     /// `block_rows`/`block_cols` the local `Aᵢⱼ` dimensions,
     /// `w_rows`/`ht_rows` the heights of this rank's 1D factor slices
-    /// (`(Wᵢ)ⱼ` and `(Hⱼ)ᵢ`). Used by both [`for_hpc`](Self::for_hpc)
-    /// and the engine's `Grid2D`.
+    /// `(Wᵢ)ⱼ` and `(Hⱼ)ᵢ` (the engine's `Grid2D`).
     pub fn size_for_hpc(
         &mut self,
         block_rows: usize,
@@ -157,36 +169,6 @@ impl IterWorkspace {
         self.aht.resize(w_rows, k);
         self.wta.resize(ht_rows, k);
     }
-
-    /// Workspace for the sequential driver on an `m×n` input at rank `k`.
-    pub fn for_seq(m: usize, n: usize, k: usize) -> Self {
-        let mut ws = Self::default();
-        ws.size_for_seq(m, n, k);
-        ws
-    }
-
-    /// Workspace for one rank of the naive driver: `m×n` global dims,
-    /// `rows`/`cols` this rank's row-block height and column-block width.
-    pub fn for_naive(m: usize, n: usize, rows: usize, cols: usize, k: usize) -> Self {
-        let mut ws = Self::default();
-        ws.size_for_naive(m, n, rows, cols, k);
-        ws
-    }
-
-    /// Workspace for one rank of HPC-NMF: `block_rows`/`block_cols` the
-    /// local `Aᵢⱼ` dimensions, `w_rows`/`ht_rows` the heights of this
-    /// rank's 1D factor slices (`(Wᵢ)ⱼ` and `(Hⱼ)ᵢ`).
-    pub fn for_hpc(
-        block_rows: usize,
-        block_cols: usize,
-        w_rows: usize,
-        ht_rows: usize,
-        k: usize,
-    ) -> Self {
-        let mut ws = Self::default();
-        ws.size_for_hpc(block_rows, block_cols, w_rows, ht_rows, k);
-        ws
-    }
 }
 
 #[cfg(test)]
@@ -194,20 +176,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructors_size_only_what_each_driver_uses() {
-        let seq = IterWorkspace::for_seq(10, 8, 3);
+    fn sizing_touches_only_what_each_scheme_uses() {
+        let mut seq = IterWorkspace::default();
+        seq.size_for_seq(10, 8, 3);
         assert_eq!(seq.mm_w.shape(), (10, 3));
         assert_eq!(seq.mm_h.shape(), (8, 3));
         assert_eq!(seq.ht_gather.shape(), (0, 0));
         assert_eq!(seq.aht.shape(), (0, 0));
 
-        let naive = IterWorkspace::for_naive(10, 8, 5, 4, 3);
+        let mut naive = IterWorkspace::default();
+        naive.size_for_naive(10, 8, 5, 4, 3);
         assert_eq!(naive.ht_gather.shape(), (8, 3));
         assert_eq!(naive.w_gather.shape(), (10, 3));
         assert_eq!(naive.mm_w.shape(), (5, 3));
         assert_eq!(naive.mm_h.shape(), (4, 3));
 
-        let hpc = IterWorkspace::for_hpc(6, 5, 3, 2, 4);
+        let mut hpc = IterWorkspace::default();
+        hpc.size_for_hpc(6, 5, 3, 2, 4);
         assert_eq!(hpc.ht_gather.shape(), (5, 4));
         assert_eq!(hpc.w_gather.shape(), (6, 4));
         assert_eq!(hpc.mm_w.shape(), (6, 4));

@@ -1,164 +1,79 @@
-//! Workspace-reuse correctness: the zero-allocation iteration path must
-//! be a pure optimization — identical results run-to-run, identical
-//! results when a caller-held workspace is reused across factorizations,
-//! and identical results between the parallel drivers and the sequential
+//! Workspace-reuse correctness, through the path production uses: each
+//! rank's engine owns its `IterWorkspace`, and `Model::refit` hands it to
+//! the successor engine (`take_workspace` → `build_engine`). Reuse must be
+//! a pure optimization — identical results run-to-run, identical results
+//! when a refit reuses a workspace sized for another rank `k`, and
+//! identical results between the parallel schemes and the sequential
 //! reference (the paper's §6.1.3 same-computations protocol).
 
-use hpc_nmf::dist::Dist1D;
-use hpc_nmf::hpc::{hpc_nmf_rank, hpc_nmf_rank_with_workspace};
 use hpc_nmf::prelude::*;
-use hpc_nmf::seq::nmf_seq;
-use hpc_nmf::workspace::IterWorkspace;
-use hpc_nmf::{factorize_from, init_ht, init_w};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
-use nmf_vmpi::universe;
 
 fn test_input(m: usize, n: usize, seed: u64) -> Input {
     Input::Dense(Mat::uniform(m, n, seed))
 }
 
-/// Runs HPC-NMF on `p` ranks, handing each rank a workspace produced by
-/// `make_ws`; returns each rank's (w_local, ht_local, objective).
-fn run_hpc_with_ws(
-    input: &Input,
-    grid: Grid,
-    config: &NmfConfig,
-    make_ws: impl Fn() -> Option<IterWorkspace> + Sync,
-) -> Vec<(Mat, Mat, f64)> {
-    let (m, n) = input.shape();
-    let w0 = init_w(m, config.k, config.seed);
-    let ht0 = init_ht(n, config.k, config.seed);
-    let dist_m = Dist1D::new(m, grid.pr);
-    let dist_n = Dist1D::new(n, grid.pc);
-    universe::run(grid.size(), |comm| {
-        let (i, j) = grid.coords(comm.rank());
-        let rows = dist_m.part(i);
-        let cols = dist_n.part(j);
-        let local = input.block(rows.offset, cols.offset, rows.len, cols.len);
-        let sub_rows = Dist1D::new(rows.len, grid.pc);
-        let sub_cols = Dist1D::new(cols.len, grid.pr);
-        let wpart = sub_rows.part(j);
-        let hpart = sub_cols.part(i);
-        let w0_local = w0.rows_block(rows.offset + wpart.offset, wpart.len);
-        let ht0_local = ht0.rows_block(cols.offset + hpart.offset, hpart.len);
-        let out = match make_ws() {
-            Some(mut ws) => hpc_nmf_rank_with_workspace(
-                comm,
-                grid,
-                (m, n),
-                &local,
-                w0_local,
-                ht0_local,
-                config,
-                &mut ws,
-            ),
-            None => hpc_nmf_rank(comm, grid, (m, n), &local, w0_local, ht0_local, config),
-        };
-        (out.w_local, out.ht_local, out.objective)
-    })
-    .into_iter()
-    .map(|r| r.result)
-    .collect()
+/// A dense HPC-NMF session on an explicit 2×2 grid.
+fn hpc_2x2(input: &Input, config: &NmfConfig) -> Model {
+    Nmf::on(input)
+        .config(*config)
+        .algo(Algo::HpcGrid(Grid::new(2, 2)))
+        .ranks(4)
+        .build()
+        .expect("valid 2x2 request")
+}
+
+/// Runs `model` to its stopping condition; returns `(W, H, objective)`.
+fn fit(model: &mut Model) -> (Mat, Mat, f64) {
+    model.run();
+    let (w, h) = model.factors();
+    (w, h, model.objective())
 }
 
 #[test]
 fn two_consecutive_runs_are_bit_identical() {
     let input = test_input(36, 28, 91);
     let config = NmfConfig::new(4).with_max_iters(2).with_seed(5);
-    let grid = Grid::new(2, 2);
-    let a = run_hpc_with_ws(&input, grid, &config, || None);
-    let b = run_hpc_with_ws(&input, grid, &config, || None);
-    for (ra, rb) in a.iter().zip(&b) {
-        assert_eq!(ra.0, rb.0, "w_local must be deterministic");
-        assert_eq!(ra.1, rb.1, "ht_local must be deterministic");
-        assert_eq!(ra.2, rb.2, "objective must be deterministic");
-    }
+    let a = fit(&mut hpc_2x2(&input, &config));
+    let b = fit(&mut hpc_2x2(&input, &config));
+    assert_eq!(a.0, b.0, "W must be deterministic");
+    assert_eq!(a.1, b.1, "H must be deterministic");
+    assert_eq!(a.2, b.2, "objective must be deterministic");
 }
 
 #[test]
-fn caller_held_workspace_matches_internal_workspace() {
+fn refit_to_another_rank_and_back_matches_a_fresh_build() {
+    // One workspace per rank serves three engines: k=3, then k=5 (the
+    // buffers grow), then k=3 again (they shrink). Each refit must match
+    // a fresh build exactly — the workspace carries capacity, never
+    // information.
     let input = test_input(30, 42, 17);
     let config = NmfConfig::new(3).with_max_iters(3).with_seed(9);
-    let grid = Grid::new(2, 2);
-    let internal = run_hpc_with_ws(&input, grid, &config, || None);
-    // Fresh caller-held workspace, correctly sized by the driver.
-    let external = run_hpc_with_ws(&input, grid, &config, || Some(IterWorkspace::default()));
-    // A deliberately mis-sized workspace must be resized and still agree.
-    let missized = run_hpc_with_ws(&input, grid, &config, || {
-        Some(IterWorkspace::for_seq(7, 5, 2))
-    });
-    for ((a, b), c) in internal.iter().zip(&external).zip(&missized) {
-        assert_eq!(a.0, b.0, "caller-held workspace changed W");
-        assert_eq!(a.1, b.1, "caller-held workspace changed H");
-        assert_eq!(a.0, c.0, "mis-sized workspace changed W");
-        assert_eq!(a.1, c.1, "mis-sized workspace changed H");
-    }
-}
+    let wider = NmfConfig { k: 5, ..config };
+    let mut model = hpc_2x2(&input, &config);
+    fit(&mut model);
+    model.refit(wider).expect("refit to k=5");
+    let refit_wider = fit(&mut model);
+    model.refit(config).expect("refit back to k=3");
+    let refit_back = fit(&mut model);
 
-#[test]
-fn workspace_reused_across_two_factorizations_is_pure() {
-    // Run two factorizations back-to-back on each rank through ONE
-    // workspace; the second must match a fresh-workspace run exactly —
-    // the workspace carries capacity, never information.
-    let input = test_input(24, 32, 3);
-    let config = NmfConfig::new(3).with_max_iters(2).with_seed(13);
-    let grid = Grid::new(2, 1);
-    let (m, n) = input.shape();
-    let w0 = init_w(m, config.k, config.seed);
-    let ht0 = init_ht(n, config.k, config.seed);
-    let dist_m = Dist1D::new(m, grid.pr);
-    let dist_n = Dist1D::new(n, grid.pc);
-
-    let reused = universe::run(grid.size(), |comm| {
-        let (i, j) = grid.coords(comm.rank());
-        let rows = dist_m.part(i);
-        let cols = dist_n.part(j);
-        let local = input.block(rows.offset, cols.offset, rows.len, cols.len);
-        let wpart = Dist1D::new(rows.len, grid.pc).part(j);
-        let hpart = Dist1D::new(cols.len, grid.pr).part(i);
-        let w0_local = w0.rows_block(rows.offset + wpart.offset, wpart.len);
-        let ht0_local = ht0.rows_block(cols.offset + hpart.offset, hpart.len);
-        let mut ws = IterWorkspace::default();
-        let _first = hpc_nmf_rank_with_workspace(
-            comm,
-            grid,
-            (m, n),
-            &local,
-            w0_local.clone(),
-            ht0_local.clone(),
-            &config,
-            &mut ws,
-        );
-        hpc_nmf_rank_with_workspace(
-            comm,
-            grid,
-            (m, n),
-            &local,
-            w0_local,
-            ht0_local,
-            &config,
-            &mut ws,
-        )
-    });
-    let fresh = run_hpc_with_ws(&input, grid, &config, || None);
-    for (r, f) in reused.iter().zip(&fresh) {
-        assert_eq!(
-            r.result.w_local, f.0,
-            "reused workspace leaked state into W"
-        );
-        assert_eq!(
-            r.result.ht_local, f.1,
-            "reused workspace leaked state into H"
-        );
+    for (refit, cfg, label) in [
+        (&refit_wider, &wider, "refit to k=5"),
+        (&refit_back, &config, "refit back to k=3"),
+    ] {
+        let fresh = fit(&mut hpc_2x2(&input, cfg));
+        assert_eq!(refit.0, fresh.0, "{label}: reused workspace changed W");
+        assert_eq!(refit.1, fresh.1, "{label}: reused workspace changed H");
+        assert_eq!(refit.2, fresh.2, "{label}: objective differs");
     }
 }
 
 #[test]
 fn hpc_workspace_path_matches_sequential_reference() {
-    // The paper's same-computations protocol, now through the fully
-    // workspace-backed path: every driver and grid shape agrees with the
-    // sequential reference to reassociation tolerance.
+    // The paper's same-computations protocol through the workspace-backed
+    // path: every scheme and grid shape agrees with the sequential
+    // reference to reassociation tolerance.
     for (m, n, p, algo) in [
         (24usize, 18usize, 4usize, Algo::Hpc2D),
         (21, 33, 3, Algo::Hpc1D),
@@ -167,15 +82,8 @@ fn hpc_workspace_path_matches_sequential_reference() {
     ] {
         let input = test_input(m, n, (m * n) as u64);
         let config = NmfConfig::new(3).with_max_iters(3).with_seed(7);
-        let seq = nmf_seq(&input, &config);
-        let par = factorize_from(
-            &input,
-            p,
-            algo,
-            &config,
-            init_w(m, config.k, config.seed),
-            init_ht(n, config.k, config.seed),
-        );
+        let seq = factorize(&input, 1, Algo::Sequential, &config);
+        let par = factorize(&input, p, algo, &config);
         assert!(
             par.w.max_abs_diff(&seq.w) < 1e-8,
             "{:?} p={p} {m}x{n}: W diverged from sequential",
@@ -195,7 +103,7 @@ fn sparse_input_workspace_path_matches_sequential() {
     let a = erdos_renyi(40, 30, 0.15, 77);
     let input = Input::Sparse(a);
     let config = NmfConfig::new(4).with_max_iters(3).with_seed(21);
-    let seq = nmf_seq(&input, &config);
+    let seq = factorize(&input, 1, Algo::Sequential, &config);
     let par = factorize(&input, 4, Algo::Hpc2D, &config);
     assert!(par.w.max_abs_diff(&seq.w) < 1e-8, "sparse W diverged");
     assert!(par.h.max_abs_diff(&seq.h) < 1e-8, "sparse H diverged");

@@ -254,13 +254,6 @@ pub fn spmm_at_dense_auto_into(a: &Csr, csc: &CscView, w: &Mat, y: &mut Mat) {
     }
 }
 
-/// Allocating wrapper over [`spmm_at_dense_auto_into`].
-pub fn spmm_at_dense_auto(a: &Csr, csc: &CscView, w: &Mat) -> Mat {
-    let mut y = Mat::zeros(a.ncols(), w.ncols());
-    spmm_at_dense_auto_into(a, csc, w, &mut y);
-    y
-}
-
 /// Whether [`spmm_at_dense_auto_into`] routes an `n×k` output to the
 /// CSC forward kernel. Exposed so benches can report the routing.
 pub fn csc_chosen(n: usize, k: usize) -> bool {

@@ -12,7 +12,6 @@ use hpc_nmf::checkpoint::read_checkpoint;
 use hpc_nmf::dist::Dist1D;
 use hpc_nmf::engine::{AnlsEngine, Grid2D, LocalScheme, Replicated1D, SplitBlocks};
 use hpc_nmf::prelude::*;
-use hpc_nmf::seq::nmf_seq_from;
 use hpc_nmf::{init_ht, init_w};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
@@ -34,6 +33,7 @@ fn config() -> NmfConfig {
 fn sequential_checkpoint_resume_is_bit_identical() {
     let input = test_input(33, 26, 5);
     let (m, n) = input.shape();
+    let local = input.block(0, 0, m, n);
     let cfg = config();
     let w0 = init_w(m, cfg.k, cfg.seed);
     let ht0 = init_ht(n, cfg.k, cfg.seed);
@@ -41,7 +41,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
     // Uninterrupted run.
     let mut full = AnlsEngine::new(
         LocalScheme::new(m, n),
-        &input,
+        &local,
         &cfg,
         w0.clone(),
         ht0.clone(),
@@ -51,7 +51,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
     }
 
     // Interrupted at BREAK_AT: export factors, resume in a fresh engine.
-    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w0, ht0);
+    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &local, &cfg, w0, ht0);
     for _ in 0..BREAK_AT {
         first.step();
     }
@@ -60,7 +60,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
     let (w_ck, ht_ck) = (w_ck.clone(), ht_ck.clone());
     drop(first);
 
-    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w_ck, ht_ck);
+    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &local, &cfg, w_ck, ht_ck);
     resumed.restore_convergence_state(state);
     for _ in 0..(TOTAL - BREAK_AT) {
         resumed.step();
@@ -87,14 +87,27 @@ fn stepped_engine_matches_run_to_completion_driver() {
     let w0 = init_w(m, cfg.k, cfg.seed);
     let ht0 = init_ht(n, cfg.k, cfg.seed);
 
-    let driver = nmf_seq_from(&input, &cfg, w0.clone(), ht0.clone());
-    let mut engine = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w0, ht0);
+    // The reference: a sequential `Model` run to completion.
+    let mut model = Nmf::on(&input)
+        .config(cfg)
+        .algo(Algo::Sequential)
+        .warm_start(w0.clone(), ht0.clone())
+        .build()
+        .expect("valid sequential request");
+    model.run();
+    let (w_ref, h_ref) = model.factors();
+    let local = input.block(0, 0, m, n);
+    let mut engine = AnlsEngine::new(LocalScheme::new(m, n), &local, &cfg, w0, ht0);
     for _ in 0..TOTAL {
         engine.step();
     }
     let (w, ht) = engine.factors();
-    assert_eq!(&driver.w, w, "step-wise W differs from driver");
-    assert_eq!(driver.h, ht.transpose(), "step-wise H differs from driver");
+    assert_eq!(&w_ref, w, "step-wise W differs from the Model run");
+    assert_eq!(
+        h_ref,
+        ht.transpose(),
+        "step-wise H differs from the Model run"
+    );
 }
 
 /// Runs `p` ranks of the naive scheme; each rank steps `first` times,
@@ -250,6 +263,7 @@ fn resume_preserves_early_stop_decisions() {
     // the same global iteration as the uninterrupted one.
     let input = test_input(30, 22, 17);
     let (m, n) = input.shape();
+    let local = input.block(0, 0, m, n);
     let cfg = NmfConfig::new(3)
         .with_max_iters(100)
         .with_tol(1e-7)
@@ -259,7 +273,7 @@ fn resume_preserves_early_stop_decisions() {
 
     let mut full = AnlsEngine::new(
         LocalScheme::new(m, n),
-        &input,
+        &local,
         &cfg,
         w0.clone(),
         ht0.clone(),
@@ -276,14 +290,14 @@ fn resume_preserves_early_stop_decisions() {
     );
 
     let brk = total / 2;
-    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w0, ht0);
+    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &local, &cfg, w0, ht0);
     for _ in 0..brk {
         first.step();
     }
     let state = first.convergence_state();
     let (w_ck, ht_ck) = first.factors();
     let (w_ck, ht_ck) = (w_ck.clone(), ht_ck.clone());
-    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w_ck, ht_ck);
+    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &local, &cfg, w_ck, ht_ck);
     resumed.restore_convergence_state(state);
     let reason_resumed = resumed.run();
     assert_eq!(reason_resumed, reason_full);
@@ -737,6 +751,7 @@ fn windowed_policy_resume_stops_at_same_iteration() {
     // the checkpoint boundary.
     let input = test_input(32, 24, 19);
     let (m, n) = input.shape();
+    let local = input.block(0, 0, m, n);
     let cfg = NmfConfig::new(3)
         .with_max_iters(80)
         .with_seed(5)
@@ -750,7 +765,7 @@ fn windowed_policy_resume_stops_at_same_iteration() {
 
     let mut full = AnlsEngine::new(
         LocalScheme::new(m, n),
-        &input,
+        &local,
         &cfg,
         w0.clone(),
         ht0.clone(),
@@ -765,14 +780,14 @@ fn windowed_policy_resume_stops_at_same_iteration() {
     // Break one iteration before the stop, so the window straddles the
     // checkpoint.
     let brk = total - 1;
-    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w0, ht0);
+    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &local, &cfg, w0, ht0);
     for _ in 0..brk {
         first.step();
     }
     let state = first.convergence_state();
     let (w_ck, ht_ck) = first.factors();
     let (w_ck, ht_ck) = (w_ck.clone(), ht_ck.clone());
-    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w_ck, ht_ck);
+    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &local, &cfg, w_ck, ht_ck);
     resumed.restore_convergence_state(state);
     let reason_resumed = resumed.run();
     assert_eq!(reason_resumed, reason_full);

@@ -2,8 +2,8 @@
 //! video scenario (§6.1.1) — when new data arrives, restarting ANLS from
 //! the previous factors should converge much faster than a cold start.
 
+use hpc_nmf::init_ht;
 use hpc_nmf::prelude::*;
-use hpc_nmf::{factorize_from, init_ht};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{matmul, Mat};
 
@@ -17,6 +17,26 @@ fn window(m: usize, n: usize, k: usize, drift: f64, seed: u64) -> Input {
         *av += drift * nv;
     }
     Input::Dense(a)
+}
+
+/// Runs `algo` on `p` ranks from the explicit factors `w0` / `ht0`.
+fn warm_started(
+    input: &Input,
+    p: usize,
+    algo: Algo,
+    config: &NmfConfig,
+    w0: Mat,
+    ht0: Mat,
+) -> NmfOutput {
+    let mut model = Nmf::on(input)
+        .config(*config)
+        .algo(algo)
+        .ranks(p)
+        .warm_start(w0, ht0)
+        .build()
+        .expect("valid warm-start request");
+    model.run();
+    model.into_output()
 }
 
 #[test]
@@ -33,7 +53,7 @@ fn warm_start_converges_faster_than_cold() {
     let mut ht_prev = first.h.transpose();
     // Previous factors may contain exact zeros; keep them valid inits.
     ht_prev.project_nonnegative();
-    let warm = factorize_from(&second, 4, Algo::Hpc2D, &budget, first.w.clone(), ht_prev);
+    let warm = warm_started(&second, 4, Algo::Hpc2D, &budget, first.w.clone(), ht_prev);
     assert!(
         warm.objective < cold.objective,
         "warm start ({}) should beat cold start ({}) on a small budget",
@@ -49,7 +69,7 @@ fn warm_start_is_consistent_across_drivers() {
     let w0 = Mat::uniform(m, k, 21);
     let ht0 = init_ht(n, k, 22);
     let config = NmfConfig::new(k).with_max_iters(4);
-    let seq = factorize_from(
+    let seq = warm_started(
         &input,
         1,
         Algo::Sequential,
@@ -58,25 +78,11 @@ fn warm_start_is_consistent_across_drivers() {
         ht0.clone(),
     );
     for (p, algo) in [(4usize, Algo::Hpc2D), (3, Algo::Naive), (2, Algo::Hpc1D)] {
-        let par = factorize_from(&input, p, algo, &config, w0.clone(), ht0.clone());
+        let par = warm_started(&input, p, algo, &config, w0.clone(), ht0.clone());
         assert!(
             par.w.max_abs_diff(&seq.w) < 1e-8 && par.h.max_abs_diff(&seq.h) < 1e-8,
             "{} warm start diverged from sequential",
             algo.name()
         );
     }
-}
-
-#[test]
-#[should_panic(expected = "w0 shape mismatch")]
-fn warm_start_validates_shapes() {
-    let input = window(20, 15, 3, 0.0, 30);
-    let _ = factorize_from(
-        &input,
-        2,
-        Algo::Hpc2D,
-        &NmfConfig::new(3),
-        Mat::zeros(5, 3),
-        Mat::zeros(15, 3),
-    );
 }
