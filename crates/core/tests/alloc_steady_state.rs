@@ -7,11 +7,11 @@
 //! virtual interconnect, which is outside the compute path — with a few
 //! allocations of amortized channel block storage).
 //!
-//! HALS/MU are used as the NLS solvers here because their scratch usage
-//! is shape-static; BPP is also workspace-backed but its per-group
-//! buffer pool can legitimately grow on an iteration whose pivoting
-//! discovers more distinct passive sets than any before it, which would
-//! make an exact-equality assertion data-dependent.
+//! The sequential check covers BPP, HALS and MU. BPP's buffers (the
+//! sorted `(mask, row)` list, the `k×k` factor and the length-`k`
+//! solution, the guard's `X·G`) depend only on the shapes, not on how
+//! many distinct passive sets the pivoting meets, so they are all sized
+//! in the first iteration.
 //!
 //! The counter is process-wide, so this file runs without the libtest
 //! harness (`harness = false` in `Cargo.toml`): libtest's own threads
@@ -76,7 +76,7 @@ fn run_seq(iters: usize, solver: SolverKind) -> u64 {
 }
 
 fn sequential_steady_state_iterations_allocate_nothing() {
-    for solver in [SolverKind::Hals, SolverKind::Mu] {
+    for solver in [SolverKind::Bpp, SolverKind::Hals, SolverKind::Mu] {
         let base = run_seq(2, solver);
         let more = run_seq(6, solver);
         assert_eq!(

@@ -41,7 +41,8 @@ pub fn cholesky(a: &Mat) -> Result<Mat, CholError> {
 }
 
 /// [`cholesky`] into caller-owned `l` (resized as needed) — the
-/// workspace variant used by the NLS hot path.
+/// workspace variant, and the reference BPP's packed per-support factor
+/// is tested against bit for bit.
 ///
 /// Only the lower triangle and diagonal of `l` are written (and only
 /// those are read by the solve routines); when `l` is a reused buffer of
@@ -208,9 +209,7 @@ pub fn solve_spd(a: &Mat, b: &Mat) -> Result<Mat, CholError> {
         Err(_) => {
             let n = a.nrows();
             let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
-            let base = if trace > 0.0 { trace / n as f64 } else { 1.0 };
-            let mut shift = base * 1e-12;
-            for _ in 0..8 {
+            for shift in spd_shifts(trace, n) {
                 let mut shifted = a.clone();
                 for i in 0..n {
                     shifted[(i, i)] += shift;
@@ -218,11 +217,20 @@ pub fn solve_spd(a: &Mat, b: &Mat) -> Result<Mat, CholError> {
                 if let Ok(l) = cholesky(&shifted) {
                     return Ok(cholesky_solve(&l, b));
                 }
-                shift *= 100.0;
             }
             Err(CholError::NotPositiveDefinite(0))
         }
     }
+}
+
+/// The diagonal shifts [`solve_spd`] tries, in order, after a Cholesky
+/// breakdown of an `n×n` matrix with trace `trace`: `eps·tr(A)/n` for
+/// `eps = 1e-12, 1e-10, …, 1e2` (with `tr(A)/n` taken as 1 when the
+/// trace is not positive). Solvers that factor in their own buffers use
+/// it to fall back exactly as `solve_spd` does.
+pub fn spd_shifts(trace: f64, n: usize) -> impl Iterator<Item = f64> {
+    let base = if trace > 0.0 { trace / n as f64 } else { 1.0 };
+    std::iter::successors(Some(base * 1e-12), |s| Some(s * 100.0)).take(8)
 }
 
 #[cfg(test)]

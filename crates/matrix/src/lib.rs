@@ -39,7 +39,8 @@ pub mod rng;
 pub mod simd;
 
 pub use chol::{
-    cholesky, cholesky_into, cholesky_solve, cholesky_solve_in_place, solve_spd, CholError,
+    cholesky, cholesky_into, cholesky_solve, cholesky_solve_in_place, solve_spd, spd_shifts,
+    CholError,
 };
 pub use gemm::{
     matmul, matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_par,

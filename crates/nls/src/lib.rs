@@ -19,9 +19,10 @@
 //! * [`Bpp`] — **Block Principal Pivoting** (Kim & Park 2011), the
 //!   paper's solver of choice: an active-set-like method that swaps whole
 //!   blocks of variables between the active and passive sets, with
-//!   Murty's single-swap backup rule to guarantee termination. Includes
-//!   the classic multi-RHS optimization of grouping rows that share a
-//!   passive set so each distinct `G_FF` is factorized once.
+//!   Murty's single-swap backup rule to guarantee termination. Each row
+//!   starts from the support of the incoming iterate; rows that share a
+//!   passive set are grouped by a sort and share one `G_FF` factor, which
+//!   at larger `k` is usually a group of one row.
 //! * [`Mu`] — Lee & Seung's multiplicative update (one damped step per
 //!   outer iteration).
 //! * [`Hals`] — hierarchical alternating least squares (one sweep of
@@ -47,7 +48,7 @@ pub use mu::Mu;
 /// `minimize Σᵢ ‖xᵢ‖²_G − 2·xᵢᵀ·CtBᵢ  subject to X ≥ 0`.
 ///
 /// `update` takes `&mut self` so solvers can keep reusable workspaces
-/// (pivot states, grouping tables, factor buffers) across the one-call-
+/// (pivot states, sort buffers, factor buffers) across the one-call-
 /// per-factor-per-iteration pattern of the ANLS drivers — the scratch is
 /// buffer reuse only and must never carry *information* between calls
 /// (every call's result is a pure function of `gram`, `ctb`, and `x`).
@@ -101,9 +102,17 @@ impl SolverKind {
 /// `Σ‖Cxᵢ−bᵢ‖²` by the constant `Σ‖bᵢ‖²`, so it orders solutions
 /// identically. Used by tests to verify monotonicity and optimality.
 pub fn nls_objective(gram: &Mat, ctb: &Mat, x: &Mat) -> f64 {
+    nls_objective_into(gram, ctb, x, &mut Mat::zeros(x.nrows(), x.ncols()))
+}
+
+/// [`nls_objective`] with the `r×k` product `X·G` written into the
+/// caller's `xg` (resized as needed), so a solver can evaluate it without
+/// allocating.
+pub(crate) fn nls_objective_into(gram: &Mat, ctb: &Mat, x: &Mat, xg: &mut Mat) -> f64 {
     assert_eq!(x.shape(), ctb.shape());
     assert_eq!(gram.nrows(), x.ncols());
-    let xg = nmf_matrix::matmul_tb(x, gram); // r×k, row i = G·xᵢ (G symmetric)
+    xg.resize(x.nrows(), x.ncols());
+    nmf_matrix::matmul_tb_into(x, gram, xg); // row i = G·xᵢ (G symmetric)
     let mut obj = 0.0;
     for i in 0..x.nrows() {
         let xi = x.row(i);
