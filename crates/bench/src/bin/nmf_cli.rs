@@ -169,9 +169,8 @@ fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
                         "bpp" => args.solver = Some(SolverKind::Bpp),
                         "mu" => args.solver = Some(SolverKind::Mu),
                         "hals" => args.solver = Some(SolverKind::Hals),
-                        "activeset" => args.solver = Some(SolverKind::ActiveSet),
                         other => errors.push(format!(
-                            "unknown solver '{other}' (expected bpp | mu | hals | activeset)"
+                            "unknown solver '{other}' (expected bpp | mu | hals)"
                         )),
                     }
                 }
@@ -295,7 +294,7 @@ fn print_help() {
          \x20 --k K[,K2,...]          low rank, or a comma list to sweep (default 10)\n\
          \x20 --iters N               max iterations (default 20)\n\
          \x20 --tol T                 early-stop tolerance\n\
-         \x20 --solver S              bpp | mu | hals | activeset (default bpp)\n\
+         \x20 --solver S              bpp | mu | hals (default bpp)\n\
          \x20 --seed N                RNG seed (default 42)\n\
          \x20 --json                  machine-readable summary per k on stdout\n\
          \n\

@@ -8,7 +8,7 @@
 //! | HPC-NMF | O(min{√(mnk²/p), nk}) | O(log p) | O(mn/p + √(mnk²/p)) |
 //!
 //! ```sh
-//! cargo run --release -p nmf-bench --bin table2_check
+//! cargo run --release -p nmf_bench --bin table2_check
 //! ```
 
 use hpc_nmf::prelude::*;

@@ -7,7 +7,7 @@
 //! machine at feasible rank counts.
 //!
 //! ```sh
-//! cargo run --release -p nmf-bench --bin table3
+//! cargo run --release -p nmf_bench --bin table3
 //! ```
 
 use nmf_bench::{measure, measured_dataset, model_row, PAPER_ALGOS};

@@ -1,12 +1,12 @@
 //! Shared infrastructure for the experiment binaries that regenerate
 //! the paper's tables and figures.
 //!
-//! Two complementary modes, documented in `EXPERIMENTS.md`:
+//! Two complementary modes:
 //!
-//! * **measured** — real multithreaded runs of the actual drivers on
-//!   scaled-down datasets (this machine cannot hold 600 cores or a
+//! * **measured** — real multithreaded runs through [`factorize`] on
+//!   scaled-down datasets (a workstation cannot hold 600 cores or a
 //!   172,800×115,200 dense matrix), with wall-clock per-task breakdowns
-//!   from the instrumented drivers;
+//!   from each iteration's `IterRecord`;
 //! * **modeled** — the paper-scale α-β-γ projections of
 //!   [`nmf_data::costmodel`], which reproduce the shape of the paper's
 //!   plots at the original dimensions and processor counts.

@@ -1,7 +1,11 @@
 //! Offline stand-in for the `rayon` crate.
 //!
+//! No workspace code calls it any more: it stays a declared dependency of
+//! `nmf_matrix` and `nmf_sparse` only until the benchmark's lock file
+//! (`nmfbench/Cargo.lock`) is next regenerated, and then goes.
+//!
 //! Implements genuine data parallelism with `std::thread::scope` behind
-//! the slice of rayon's API this workspace uses:
+//! the slice of rayon's API the workspace used:
 //!
 //! * `(0..n).into_par_iter().map(f).collect::<Vec<_>>()`
 //! * `(0..n).into_par_iter().for_each(f)`
@@ -10,10 +14,10 @@
 //!
 //! Instead of a work-stealing pool, each call splits its index range into
 //! contiguous chunks, one per available core, and runs them on scoped
-//! threads. For the regular, uniform-cost loops in this workspace
-//! (row-parallel GEMM/SpMM) static chunking is within noise of work
-//! stealing, and it keeps the stand-in dependency-free. Small inputs
-//! (fewer items than threads) run inline to avoid spawn overhead.
+//! threads. For the regular, uniform-cost loops it served (row-parallel
+//! GEMM/SpMM) static chunking is within noise of work stealing, and it
+//! keeps the stand-in dependency-free. Small inputs (fewer items than
+//! threads) run inline to avoid spawn overhead.
 
 use std::num::NonZeroUsize;
 

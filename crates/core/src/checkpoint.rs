@@ -137,7 +137,6 @@ impl CheckpointMeta {
                 SolverKind::Bpp => 0,
                 SolverKind::Mu => 1,
                 SolverKind::Hals => 2,
-                SolverKind::ActiveSet => 3,
             },
         );
         put_u64(out, c.seed);
@@ -195,7 +194,7 @@ impl CheckpointMeta {
             0 => SolverKind::Bpp,
             1 => SolverKind::Mu,
             2 => SolverKind::Hals,
-            3 => SolverKind::ActiveSet,
+            // 3 was a retired active-set solver; it is rejected, never reused.
             t => return Err(format!("unknown solver tag {t}")),
         };
         let seed = r.u64()?;
@@ -1059,6 +1058,38 @@ mod tests {
         let mut bad_meta = bytes.clone();
         bad_meta[20] ^= 0xff;
         assert!(summarize(&bad_meta).is_err());
+    }
+
+    #[test]
+    fn retired_solver_tag_is_a_typed_error() {
+        // Stamp solver tag 3 into an otherwise valid file, re-stamping
+        // the meta fingerprint and the trailing checksum so that only the
+        // tag is wrong. The meta block starts at byte 20; the tag follows
+        // m, n, ranks (u64), algo (u32), grid pr, pc, k, max_iters (u64).
+        let mut bytes = encode(&sample());
+        let meta_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
+        let tag = 20 + 3 * 8 + 4 + 4 * 8;
+        assert_eq!(bytes[tag..tag + 4], 0u32.to_le_bytes(), "BPP solver tag");
+        bytes[tag..tag + 4].copy_from_slice(&3u32.to_le_bytes());
+        let fp = fnv1a(&bytes[20..20 + meta_len]);
+        bytes[20 + meta_len..28 + meta_len].copy_from_slice(&fp.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+
+        let dir = std::env::temp_dir().join(format!("nmf-tag3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("tag3.ckpt");
+        std::fs::write(&path, &bytes).expect("write");
+        let names_tag = |e: NmfError| match e {
+            NmfError::Corrupt { reason, .. } => reason.contains("unknown solver tag 3"),
+            _ => false,
+        };
+        let read = read_checkpoint(&path).expect_err("read must reject tag 3");
+        assert!(names_tag(read), "read_checkpoint must name the tag");
+        let inspect = inspect_checkpoint(&path).expect_err("inspect must reject tag 3");
+        assert!(names_tag(inspect), "inspect_checkpoint must name the tag");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

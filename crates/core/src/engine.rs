@@ -1155,12 +1155,6 @@ pub trait EngineDyn {
     /// The current iterates: this rank's `W` slice and transposed `H`
     /// slice.
     fn factors(&self) -> (&Mat, &Mat);
-    /// Per-iteration records so far.
-    fn records(&self) -> &[IterRecord];
-    /// Iterations executed so far (including restored ones).
-    fn iterations(&self) -> usize;
-    /// Objective after the latest iteration (`‖A‖²` before the first).
-    fn objective(&self) -> f64;
     /// Why the engine last decided to stop, if it has.
     fn stop_reason(&self) -> Option<StopReason>;
     /// Exports the convergence bookkeeping (for checkpointing).
@@ -1183,18 +1177,6 @@ impl<S: CommScheme, D: AnlsData> EngineDyn for AnlsEngine<S, D> {
 
     fn factors(&self) -> (&Mat, &Mat) {
         AnlsEngine::factors(self)
-    }
-
-    fn records(&self) -> &[IterRecord] {
-        AnlsEngine::records(self)
-    }
-
-    fn iterations(&self) -> usize {
-        AnlsEngine::iterations(self)
-    }
-
-    fn objective(&self) -> f64 {
-        AnlsEngine::objective(self)
     }
 
     fn stop_reason(&self) -> Option<StopReason> {
@@ -1233,22 +1215,19 @@ mod tests {
         let config = NmfConfig::new(2).with_max_iters(3).with_seed(8);
         let w0 = crate::config::init_w(18, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
-        let mut boxed: Box<dyn EngineDyn + '_> = Box::new(AnlsEngine::new(
-            LocalScheme::new(18, 12),
-            &input,
-            &config,
-            w0,
-            ht0,
-        ));
-        let rec = boxed.step_dyn();
+        let mut engine = AnlsEngine::new(LocalScheme::new(18, 12), &input, &config, w0, ht0);
+        let erased: &mut dyn EngineDyn = &mut engine;
+        let rec = erased.step_dyn();
         assert!(rec.objective.is_finite());
-        assert_eq!(boxed.iterations(), 1);
-        assert_eq!(boxed.records().len(), 1);
-        let (w, ht) = boxed.factors();
+        let (w, ht) = erased.factors();
         assert_eq!(w.shape(), (18, 2));
         assert_eq!(ht.shape(), (12, 2));
-        let st = boxed.convergence_state();
+        let st = erased.convergence_state();
         assert_eq!(st.iterations_done, 1);
+        // The erased step advanced the concrete engine.
+        assert_eq!(engine.iterations(), 1);
+        assert_eq!(engine.records().len(), 1);
+        assert_eq!(engine.objective(), rec.objective);
     }
 
     #[test]

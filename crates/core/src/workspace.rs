@@ -63,11 +63,6 @@ pub struct SessionPack {
 }
 
 impl SessionPack {
-    /// Whether no operand is packed (sparse input, or never primed).
-    pub fn is_empty(&self) -> bool {
-        self.a.is_empty() && self.at.is_empty()
-    }
-
     /// Grow `bpack` to the bound both packed products need for a `·×k`
     /// right operand; afterwards steady-state GEMMs never resize it.
     pub fn reserve_scratch(&mut self, k: usize) {
@@ -75,11 +70,6 @@ impl SessionPack {
         if self.bpack.len() < need {
             self.bpack.resize(need, 0.0);
         }
-    }
-
-    /// Bytes of packed panel storage currently held (both operands).
-    pub fn packed_bytes(&self) -> usize {
-        self.a.packed_bytes() + self.at.packed_bytes()
     }
 }
 

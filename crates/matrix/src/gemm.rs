@@ -10,9 +10,9 @@
 //! # Performance notes
 //!
 //! The primary entry points ([`matmul_into`], [`matmul_ta_into`],
-//! [`matmul_par_into`], [`matmul_packed_into`]) all run the full
-//! GotoBLAS decomposition (Goto & van de Geijn, *Anatomy of
-//! High-Performance Matrix Multiplication*):
+//! [`matmul_packed_into`]) all run the full GotoBLAS decomposition
+//! (Goto & van de Geijn, *Anatomy of High-Performance Matrix
+//! Multiplication*):
 //!
 //! 1. **Packing** ([`pack`](crate::pack)): the left operand is packed
 //!    into `MR×KC` depth-major panels, the right operand into `KC×NR`
@@ -41,16 +41,12 @@
 //! workspaces can be reused; the allocating wrappers exist for
 //! convenience at call sites that are not on a hot path.
 //!
-//! [`matmul_par`] provides a rayon row-parallel GEMM for *standalone*
-//! (sequential-baseline) use: each worker packs and multiplies its own
-//! contiguous stripe of `C`. The distributed ranks deliberately use the
-//! serial kernels: each virtual-MPI rank is already an OS thread, and
-//! nesting rayon inside them would oversubscribe the machine.
+//! Every kernel here is serial: each virtual-MPI rank is already an OS
+//! thread, so the distributed ranks are the only parallelism.
 
 use crate::mat::Mat;
 use crate::pack::{pack_b_block, PackedPanels, KC, NR};
 use crate::simd;
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 thread_local! {
@@ -278,52 +274,6 @@ pub fn matmul_tb_into(a: &Mat, b: &Mat, c: &mut Mat) {
     }
 }
 
-/// Rayon row-parallel `C = A·B` for standalone use (see module docs).
-/// Same packed dispatched kernel as [`matmul_into`], with the rows of
-/// `C` split into one contiguous stripe per worker thread (each worker
-/// packs its own operand stripe into its thread-local scratch).
-pub fn matmul_par(a: &Mat, b: &Mat) -> Mat {
-    let mut c = Mat::zeros(a.nrows(), b.ncols());
-    matmul_par_into(a, b, &mut c);
-    c
-}
-
-/// Row-parallel `C = A·B` into caller-owned `c` (overwritten).
-pub fn matmul_par_into(a: &Mat, b: &Mat, c: &mut Mat) {
-    assert_eq!(a.ncols(), b.nrows(), "matmul inner dimension mismatch");
-    assert_eq!(
-        c.shape(),
-        (a.nrows(), b.ncols()),
-        "matmul output shape mismatch"
-    );
-    let m = a.nrows();
-    let kdim = a.ncols();
-    let n = b.ncols();
-    c.as_mut_slice().fill(0.0);
-    if m == 0 || n == 0 {
-        return; // empty output; chunking by stripe * n would be ill-formed
-    }
-    // At least four rows per worker, so a stripe is never a sliver.
-    const MIN_STRIPE: usize = 4;
-    let stripe = m.div_ceil(rayon::current_num_threads()).max(MIN_STRIPE);
-    let aslice = a.as_slice();
-    let bslice = b.as_slice();
-    c.as_mut_slice()
-        .par_chunks_mut(stripe * n)
-        .enumerate()
-        .for_each(|(ci, cchunk)| {
-            let r0 = ci * stripe;
-            let rows = cchunk.len() / n;
-            SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                scratch
-                    .apack
-                    .pack_slice_into(&aslice[r0 * kdim..(r0 + rows) * kdim], rows, kdim);
-                gemm_packed(&scratch.apack, bslice, n, cchunk, &mut scratch.bpack);
-            });
-        });
-}
-
 /// `y += alpha * x` over equal-length slices.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -496,25 +446,6 @@ mod tests {
                 c.max_abs_diff(&expect) < 1e-12,
                 "matmul_tb wrong at {m}x{k}x{n}"
             );
-        }
-    }
-
-    #[test]
-    fn matmul_par_handles_empty_output() {
-        let a = Mat::uniform(5, 4, 50);
-        let b = Mat::zeros(4, 0);
-        assert_eq!(matmul_par(&a, &b).shape(), (5, 0));
-        let a0 = Mat::zeros(0, 4);
-        let b2 = Mat::uniform(4, 3, 51);
-        assert_eq!(matmul_par(&a0, &b2).shape(), (0, 3));
-    }
-
-    #[test]
-    fn matmul_par_matches_serial() {
-        for &(m, kk, n) in &[(31usize, 15usize, 9usize), (128, 64, 32), (3, 5, 2)] {
-            let a = Mat::uniform(m, kk, 5);
-            let b = Mat::uniform(kk, n, 6);
-            assert!(matmul_par(&a, &b).max_abs_diff(&matmul(&a, &b)) < 1e-12);
         }
     }
 

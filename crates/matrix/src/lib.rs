@@ -9,8 +9,7 @@
 //!   and in-place arithmetic;
 //! * [`gemm`] — packed GotoBLAS-style matrix-multiply kernels in all
 //!   transpose combinations used by the algorithms (`A·B`, `Aᵀ·B`,
-//!   `A·Bᵀ`), with optional rayon parallelism for standalone
-//!   (non-rank-parallel) use;
+//!   `A·Bᵀ`), all serial (the virtual-MPI ranks are the parallelism);
 //! * [`simd`] — the runtime-dispatched `MR×NR` register microkernels
 //!   (AVX2+FMA 6×8 with a portable scalar 4×8 fallback, chosen once per
 //!   process; `NMF_FORCE_SCALAR=1` pins the fallback);
@@ -43,8 +42,8 @@ pub use chol::{
     CholError,
 };
 pub use gemm::{
-    matmul, matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_par,
-    matmul_par_into, matmul_ta, matmul_ta_into, matmul_tb, matmul_tb_into,
+    matmul, matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_ta, matmul_ta_into,
+    matmul_tb, matmul_tb_into,
 };
 pub use gram::{gram, gram_into, outer_gram, outer_gram_into};
 pub use mat::Mat;

@@ -86,11 +86,6 @@ impl PackedPanels {
         self.mr
     }
 
-    /// Bytes of packed storage currently held.
-    pub fn packed_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
-    }
-
     /// Length (in floats) of the `B`-tile scratch that
     /// [`matmul_packed_scratch_into`](crate::gemm::matmul_packed_scratch_into)
     /// needs for a right operand with `n` columns: one `KC`-deep block of

@@ -11,8 +11,8 @@
 
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{
-    matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_par_into, matmul_ta_into,
-    matmul_tb_into, Mat, PackedPanels,
+    matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_ta_into, matmul_tb_into,
+    Mat, PackedPanels,
 };
 use proptest::prelude::*;
 
@@ -67,9 +67,6 @@ proptest! {
         let mut c = Mat::zeros(m, n);
         matmul_into(&a, &b, &mut c);
         prop_assert!(c.max_abs_diff(&expect) < tol, "dispatched {m}x{kdim}x{n}");
-
-        matmul_par_into(&a, &b, &mut c);
-        prop_assert!(c.max_abs_diff(&expect) < tol, "par {m}x{kdim}x{n}");
 
         let p = PackedPanels::pack(&a);
         matmul_packed_into(&p, &b, &mut c);

@@ -14,7 +14,8 @@
 //! The `W`-update (`r = m/p` rows of `W`) and the `H`-update (`r = n/p`
 //! columns of `H`, stored transposed) then share one code path.
 //!
-//! Three solvers implement [`NlsSolver`]:
+//! Three solvers implement [`NlsSolver`], the paper's menu (§4); BPP is
+//! the one exact solver, MU and HALS take one improving step per call:
 //!
 //! * [`Bpp`] — **Block Principal Pivoting** (Kim & Park 2011), the
 //!   paper's solver of choice: an active-set-like method that swaps whole
@@ -31,7 +32,6 @@
 //! [`reference::exhaustive_nnls`] solves the same problem by enumerating
 //! all `2^k` active sets; tests use it as ground truth for small `k`.
 
-pub mod active_set;
 pub mod bpp;
 pub mod hals;
 pub mod mu;
@@ -39,7 +39,6 @@ pub mod reference;
 
 use nmf_matrix::Mat;
 
-pub use active_set::ActiveSet;
 pub use bpp::Bpp;
 pub use hals::Hals;
 pub use mu::Mu;
@@ -75,8 +74,6 @@ pub enum SolverKind {
     Mu,
     /// Hierarchical alternating least squares.
     Hals,
-    /// Lawson–Hanson active set (exact, single-variable exchanges).
-    ActiveSet,
 }
 
 impl SolverKind {
@@ -86,16 +83,10 @@ impl SolverKind {
             SolverKind::Bpp => Box::new(Bpp::default()),
             SolverKind::Mu => Box::new(Mu::default()),
             SolverKind::Hals => Box::new(Hals::default()),
-            SolverKind::ActiveSet => Box::new(ActiveSet::default()),
         }
     }
 
-    pub const ALL: [SolverKind; 4] = [
-        SolverKind::Bpp,
-        SolverKind::Mu,
-        SolverKind::Hals,
-        SolverKind::ActiveSet,
-    ];
+    pub const ALL: [SolverKind; 3] = [SolverKind::Bpp, SolverKind::Mu, SolverKind::Hals];
 }
 
 /// The (shifted) objective `Σᵢ xᵢᵀ·G·xᵢ − 2·xᵢᵀ·bᵢ`; differs from

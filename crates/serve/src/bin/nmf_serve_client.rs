@@ -178,9 +178,8 @@ fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
                         "bpp" => spec.solver = nmf_nls::SolverKind::Bpp,
                         "mu" => spec.solver = nmf_nls::SolverKind::Mu,
                         "hals" => spec.solver = nmf_nls::SolverKind::Hals,
-                        "activeset" => spec.solver = nmf_nls::SolverKind::ActiveSet,
                         other => errors.push(format!(
-                            "unknown solver '{other}' (expected bpp | mu | hals | activeset)"
+                            "unknown solver '{other}' (expected bpp | mu | hals)"
                         )),
                     }
                 }

@@ -379,7 +379,6 @@ fn put_spec(out: &mut Vec<u8>, spec: &JobSpec) {
         SolverKind::Bpp => 0,
         SolverKind::Mu => 1,
         SolverKind::Hals => 2,
-        SolverKind::ActiveSet => 3,
     });
     put_u64(out, spec.max_iters as u64);
     put_u64(out, spec.seed);
@@ -556,7 +555,7 @@ impl<'a> Wire<'a> {
             0 => SolverKind::Bpp,
             1 => SolverKind::Mu,
             2 => SolverKind::Hals,
-            3 => SolverKind::ActiveSet,
+            // 3 was a retired active-set solver; it is rejected, never reused.
             t => {
                 return Err(ServeError::BadFrame {
                     reason: format!("unknown solver tag {t}"),

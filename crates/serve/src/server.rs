@@ -455,6 +455,48 @@ mod tests {
     }
 
     #[test]
+    fn retired_solver_tag_is_a_bad_frame_and_the_server_keeps_serving() {
+        let (listener, connector) = channel_listener();
+        let server = Server::new(ServerConfig::default());
+        let core = std::thread::spawn(move || server.run(Box::new(listener)).expect("serve"));
+
+        // A submit frame ends with the solver byte, max_iters (u64),
+        // seed (u64) and the tol presence byte (0 for `None`).
+        let valid = Request::Submit {
+            tenant: "acme".into(),
+            spec: spec(3, 4),
+        }
+        .encode();
+        let mut retired = valid.clone();
+        let at = retired.len() - 1 - 8 - 8 - 1;
+        assert_eq!(retired[at], 0, "BPP solver tag");
+        retired[at] = 3;
+
+        let mut raw = connector.connect().expect("dial");
+        use crate::transport::Transport as _;
+        raw.send_frame(&retired).expect("send tag 3");
+        let resp = Response::decode(&raw.recv_frame().expect("reply")).expect("decodes");
+        match &resp {
+            Response::Error { code, message } => {
+                assert_eq!(*code, crate::error::ErrorCode::BadRequest);
+                assert!(message.contains("unknown solver tag 3"), "{message}");
+            }
+            other => panic!("tag 3 must be a bad frame, got {other:?}"),
+        }
+        raw.send_frame(&valid).expect("send valid");
+        let resp = Response::decode(&raw.recv_frame().expect("reply")).expect("decodes");
+        let Response::Submitted { job, .. } = resp else {
+            panic!("a valid submit must be admitted, got {resp:?}");
+        };
+        let mut client = Client::new(Box::new(raw));
+        let status = client.wait_finished("acme", job, 2000).expect("finishes");
+        assert_eq!(status.phase, JobPhase::Finished);
+        assert_eq!(status.iterations, 3);
+        client.shutdown().expect("shutdown");
+        core.join().expect("core thread");
+    }
+
+    #[test]
     fn shutdown_handle_stops_an_idle_server() {
         let (listener, _connector) = channel_listener();
         let server = Server::new(ServerConfig::default());

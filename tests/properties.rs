@@ -75,7 +75,7 @@ proptest! {
     fn factors_always_nonnegative_and_finite(
         m in 8usize..40,
         n in 8usize..40,
-        solver_pick in 0usize..3,
+        solver_pick in 0usize..SolverKind::ALL.len(),
         seed in 0u64..500,
     ) {
         let solver = SolverKind::ALL[solver_pick];
